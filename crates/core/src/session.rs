@@ -53,14 +53,12 @@ pub fn run_session(
     let mut accepted = false;
 
     for round in 0..max_rounds.max(1) {
-        // Generate against the (possibly refined) spec.
+        // Generate against the (possibly refined) spec: score the
+        // candidates once, sample from them, and reuse them below.
         let cands = injector.llm().candidates(&spec, module);
-        if cands.is_empty() {
-            return Err(PipelineError::NoCandidates);
-        }
         let fault = injector
             .llm_mut()
-            .generate(&spec, module)
+            .generate_from(&spec, &cands)
             .ok_or(PipelineError::NoCandidates)?;
         let feedback = tester.review(&fault);
 
@@ -157,6 +155,108 @@ def process_transaction(details):
                 assert!(round.feedback.critique.is_some());
             }
         }
+    }
+
+    /// The loop the benchmark's traced twin drives one layer call at a
+    /// time: `candidates`, then `generate` (which scores the candidates
+    /// again), then REINFORCE on the first candidate with the sampled
+    /// pattern, then critique refinement.
+    fn two_call_session(
+        injector: &mut NeuralFaultInjector,
+        description: &str,
+        module: &Module,
+        tester: &SimulatedTester,
+        max_rounds: usize,
+    ) -> Vec<SessionRound> {
+        let mut spec = nfi_nlp::analyze(description, Some(module));
+        let mut rounds = Vec::new();
+        for round in 0..max_rounds {
+            let cands = injector.llm().candidates(&spec, module);
+            let fault = injector
+                .llm_mut()
+                .generate(&spec, module)
+                .expect("a candidate applies");
+            let feedback = tester.review(&fault);
+            let chosen = cands
+                .iter()
+                .position(|c| c.pattern == fault.pattern)
+                .unwrap_or(0);
+            let advantage = (feedback.rating - 3.0) / 2.0;
+            injector
+                .llm_mut()
+                .policy_mut()
+                .reinforce(&cands, chosen, advantage, 0.2);
+            let critique = feedback.critique.clone();
+            let accepted = feedback.accepted;
+            rounds.push(SessionRound {
+                round,
+                fault,
+                feedback,
+            });
+            if accepted {
+                break;
+            }
+            if let Some(text) = critique {
+                spec = refine_spec(&spec, &nfi_nlp::parse_critique(&text));
+            }
+        }
+        rounds
+    }
+
+    #[test]
+    fn session_equals_the_two_call_re_drive() {
+        let programs = ["ecommerce", "kvcache"]
+            .map(|name| nfi_corpus::by_name(name).expect("corpus program exists"));
+        let records = nfi_dataset::generate(
+            &programs.map(|p| *p),
+            &nfi_dataset::DatasetConfig {
+                per_program_cap: 8,
+                seed: 1,
+            },
+        )
+        .to_training_records();
+        let mut session = NeuralFaultInjector::new(PipelineConfig::default());
+        let mut twin = NeuralFaultInjector::new(PipelineConfig::default());
+        session.fine_tune(records.clone());
+        twin.fine_tune(records);
+        let bits = |f: &[f32]| f.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut seed = 0;
+        let mut rounds = 0;
+        for program in programs {
+            let module = program.module().unwrap();
+            let function = &program.target_functions()[0];
+            // Wrong-value and interface specs yield several candidates
+            // per operator pattern with different features, so a change
+            // to which of them REINFORCE credits shows in the weights.
+            for description in [
+                format!("Simulate a scenario where {function} fails due to a database timeout, causing an unhandled exception."),
+                format!("Assign a wrong, corrupted value inside {function}."),
+                format!("Pass a duplicate argument to the api call in {function}, invoking it twice."),
+            ] {
+                for profile in [TargetProfile::wants_retry(), TargetProfile::wants_crashes()] {
+                    seed += 1;
+                    let tester = SimulatedTester::new(profile.clone(), seed);
+                    let got = run_session(&mut session, &description, &module, &tester, 4).unwrap();
+                    let tester = SimulatedTester::new(profile, seed);
+                    let want = two_call_session(&mut twin, &description, &module, &tester, 4);
+                    assert_eq!(got.rounds.len(), want.len(), "{description}");
+                    for (g, w) in got.rounds.iter().zip(&want) {
+                        assert_eq!(g.fault.pattern, w.fault.pattern, "{description}");
+                        assert_eq!(g.fault.snippet, w.fault.snippet);
+                        assert_eq!(g.fault.score.to_bits(), w.fault.score.to_bits());
+                        assert_eq!(bits(&g.fault.features), bits(&w.fault.features));
+                        assert_eq!(g.feedback, w.feedback);
+                    }
+                    assert_eq!(got.accepted, want.last().unwrap().feedback.accepted);
+                    rounds += want.len();
+                }
+            }
+        }
+        assert!(rounds > 12, "some sessions should need several rounds");
+        assert_eq!(
+            bits(session.llm().policy().weights()),
+            bits(twin.llm().policy().weights())
+        );
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! Pipeline per generation:
 //!
 //! 1. **Retrieve** the most similar fine-tuning records (TF-IDF over the
-//!    SFI-generated corpus of §IV-1) — [`corpusdb::CorpusDb`].
+//!    SFI-generated corpus of §IV-1) — [`corpusdb::CorpusDb`]. Retrieval
+//!    depends only on the spec, so it runs once per spec, not once per
+//!    candidate.
 //! 2. **Synthesize** candidate mutations: class-specific AST patterns
 //!    (timeout-raise, mishandled catch, retry loop, leak, overflow, …)
 //!    plus operator-backed mutations targeted at the spec's function —
@@ -17,6 +19,12 @@
 //!    similarity, neural-LM fluency, corpus prior) and **sample** with
 //!    temperature — [`policy::Policy`]. This policy is the object RLHF
 //!    fine-tunes.
+//!
+//! Steps 1–3 up to scoring are [`FaultLlm::candidates`]; sampling is
+//! [`FaultLlm::generate_from`], and [`FaultLlm::generate`] is the two
+//! in sequence. A review round scores its candidates once: the session
+//! loop calls `candidates`, samples with `generate_from`, and hands the
+//! same candidates to the REINFORCE update.
 //!
 //! Why this substitution preserves the paper's behaviour is argued in
 //! DESIGN.md §1: NL→code mapping, data-volume sensitivity, and
@@ -179,27 +187,45 @@ impl FaultLlm {
         &self.policy
     }
 
-    /// Enumerates and scores all candidates for a spec (deterministic).
+    /// Enumerates and scores all candidates for a spec (deterministic),
+    /// with one retrieval pass for all of them.
     pub fn candidates(&self, spec: &FaultSpec, module: &Module) -> Vec<Candidate> {
         let params = params::derive(spec);
         let mut cands = synth::synthesize(spec, module, &params);
+        let hits = self.corpus.retrieve(&spec.prompt_text(), self.config.top_k);
         for c in &mut cands {
-            c.features = self.featurize(spec, c);
+            c.features = self.featurize(spec, &hits, c);
         }
         cands
     }
 
-    /// Generates one fault: synthesize candidates, score, sample.
+    /// Generates one fault: synthesize candidates, score, sample —
+    /// [`FaultLlm::candidates`] then [`FaultLlm::generate_from`].
     ///
     /// Returns `None` only when no candidate applies (e.g. an empty
     /// module with no target).
     pub fn generate(&mut self, spec: &FaultSpec, module: &Module) -> Option<GeneratedFault> {
         let cands = self.candidates(spec, module);
+        self.generate_from(spec, &cands)
+    }
+
+    /// Samples one fault from candidates already scored for `spec` by
+    /// [`FaultLlm::candidates`], with the single RNG draw
+    /// [`FaultLlm::generate`] makes. A caller that needs the candidates
+    /// itself (the review session's REINFORCE update) scores them once
+    /// and samples here instead of scoring them again.
+    ///
+    /// Returns `None`, without drawing, when `cands` is empty.
+    pub fn generate_from(
+        &mut self,
+        spec: &FaultSpec,
+        cands: &[Candidate],
+    ) -> Option<GeneratedFault> {
         if cands.is_empty() {
             return None;
         }
         let uniform: f32 = self.rng.gen();
-        let (idx, _probs) = self.policy.choose(&cands, uniform);
+        let (idx, _probs) = self.policy.choose(cands, uniform);
         let chosen = &cands[idx];
         Some(GeneratedFault {
             spec: spec.clone(),
@@ -216,20 +242,23 @@ impl FaultLlm {
         })
     }
 
-    /// Computes the feature vector of a candidate for this spec.
-    fn featurize(&self, spec: &FaultSpec, c: &Candidate) -> Vec<f32> {
+    /// Computes the feature vector of a candidate for this spec, given
+    /// the spec's retrieval `hits`.
+    fn featurize(
+        &self,
+        spec: &FaultSpec,
+        hits: &[(&TrainingRecord, f32)],
+        c: &Candidate,
+    ) -> Vec<f32> {
         let mut f = vec![0.0f32; FEATURE_DIM];
         f[0] = (Some(c.class) == spec.class) as u8 as f32;
         f[1] = (Some(c.class) == spec.secondary_class) as u8 as f32;
         // Retrieval similarity: best match among same-class records.
-        if !self.corpus.is_empty() {
-            let hits = self.corpus.retrieve(&spec.prompt_text(), self.config.top_k);
-            f[2] = hits
-                .iter()
-                .filter(|(r, _)| r.class == c.class)
-                .map(|(_, s)| *s)
-                .fold(0.0, f32::max);
-        }
+        f[2] = hits
+            .iter()
+            .filter(|(r, _)| r.class == c.class)
+            .map(|(_, s)| *s)
+            .fold(0.0, f32::max);
         // Fluency: inverse perplexity of the snippet under the token LM.
         if let Some(lm) = &self.lm {
             let toks = code_tokens(&c.snippet);
@@ -313,6 +342,117 @@ mod tests {
             "retrieval similarity should be positive for the timing candidate"
         );
         assert!(timing.features[3] > 0.0, "fluency should be positive");
+    }
+
+    fn record(id: &str, description: &str, class: FaultClass, snippet: &str) -> TrainingRecord {
+        TrainingRecord {
+            id: id.into(),
+            description: description.into(),
+            class,
+            snippet: snippet.into(),
+            operator: "X".into(),
+            program: "ecommerce".into(),
+        }
+    }
+
+    /// More records than `top_k`, across several classes, so retrieval
+    /// both truncates and mixes classes.
+    fn mixed_records() -> Vec<TrainingRecord> {
+        vec![
+            record(
+                "t1",
+                "database timeout raises unhandled exception in transaction",
+                FaultClass::Timing,
+                "raise TimeoutError(\"db timeout\")",
+            ),
+            record(
+                "t2",
+                "slow transaction exceeds its timeout budget",
+                FaultClass::Timing,
+                "time.sleep(5)",
+            ),
+            record(
+                "e1",
+                "exception in transaction swallowed without recovery",
+                FaultClass::ExceptionHandling,
+                "except Exception:\n    pass",
+            ),
+            record(
+                "l1",
+                "transaction leaks the database connection handle",
+                FaultClass::ResourceLeak,
+                "conn = open_connection()",
+            ),
+            record(
+                "c1",
+                "race on the shared transaction counter without the lock",
+                FaultClass::Concurrency,
+                "counter = counter + 1",
+            ),
+            record(
+                "o1",
+                "omit the commit call in the transaction",
+                FaultClass::Omission,
+                "pass",
+            ),
+        ]
+    }
+
+    fn specs(module: &Module) -> Vec<FaultSpec> {
+        [
+            "Simulate a database timeout causing an unhandled exception in the process transaction function.",
+            "Leak the database connection handle in process_transaction.",
+            "Swallow the exception raised inside process_transaction without any recovery.",
+            "Introduce a race condition in process_transaction on the shared counter.",
+        ]
+        .iter()
+        .map(|d| nfi_nlp::analyze(d, Some(module)))
+        .collect()
+    }
+
+    #[test]
+    fn retrieval_feature_equals_the_per_candidate_reference() {
+        let module = target();
+        let mut llm = FaultLlm::untrained(LlmConfig::default());
+        llm.fine_tune(mixed_records());
+        let top_k = LlmConfig::default().top_k;
+        let mut positive = 0;
+        for spec in specs(&module) {
+            let hits = llm.corpus().retrieve(&spec.prompt_text(), top_k);
+            for c in llm.candidates(&spec, &module) {
+                let want = hits
+                    .iter()
+                    .filter(|(r, _)| r.class == c.class)
+                    .map(|(_, s)| *s)
+                    .fold(0.0, f32::max);
+                assert_eq!(c.features[2].to_bits(), want.to_bits(), "{}", c.pattern);
+                positive += usize::from(want > 0.0);
+            }
+        }
+        assert!(
+            positive > 0,
+            "some candidate should match a retrieved class"
+        );
+    }
+
+    #[test]
+    fn untrained_model_has_zero_retrieval_feature() {
+        let module = target();
+        let llm = FaultLlm::untrained(LlmConfig::default());
+        for spec in specs(&module) {
+            for c in llm.candidates(&spec, &module) {
+                assert_eq!(c.features[2].to_bits(), 0.0f32.to_bits(), "{}", c.pattern);
+            }
+        }
+    }
+
+    #[test]
+    fn generate_from_without_candidates_does_not_draw() {
+        let spec = timeout_spec(&target());
+        let mut llm = FaultLlm::untrained(LlmConfig::default());
+        let mut reference = FaultLlm::untrained(LlmConfig::default());
+        assert!(llm.generate_from(&spec, &[]).is_none());
+        assert_eq!(llm.rng.gen::<u64>(), reference.rng.gen::<u64>());
     }
 
     #[test]

@@ -66,6 +66,9 @@ pub const UNK: usize = 1;
 /// Default minibatch size for [`NgramLm::train_epoch_batched`].
 pub const DEFAULT_BATCH: usize = 32;
 
+/// Positions per forward batch in [`NgramLm::nll_ids`].
+const NLL_CHUNK: usize = 256;
+
 /// Summed gradients (and total NLL) over a set of positions, shaped like
 /// the model's parameters.
 #[derive(Debug, Clone)]
@@ -474,7 +477,9 @@ impl NgramLm {
     }
 
     /// Average per-token negative log-likelihood over pre-encoded id
-    /// sequences, evaluated with the batched forward kernel.
+    /// sequences, evaluated with the batched forward kernel. Only each
+    /// position's target probability is normalized; the value equals,
+    /// bit for bit, the mean of the training softmax's per-position NLL.
     pub fn nll_ids(&self, ids: &[Vec<u32>]) -> f64 {
         let c = self.config.context;
         let (ctxs, targets) = self.flatten_positions(ids);
@@ -483,10 +488,10 @@ impl NgramLm {
         }
         let mut total = 0.0f64;
         // Bounded batches keep the logits matrix (batch × vocab) small.
-        for (ctx_chunk, target_chunk) in ctxs.chunks(256 * c).zip(targets.chunks(256)) {
+        for (ctx_chunk, target_chunk) in ctxs.chunks(NLL_CHUNK * c).zip(targets.chunks(NLL_CHUNK)) {
             let (_, _, mut logits) = self.forward_batch(ctx_chunk);
             for (e, &target) in target_chunk.iter().enumerate() {
-                total += softmax_row_in_place(logits.row_mut(e), target as usize);
+                total += target_nll(logits.row_mut(e), target as usize);
             }
         }
         total / targets.len() as f64
@@ -539,21 +544,43 @@ impl NgramLm {
     }
 }
 
-/// In-place softmax over one logits row with the vectorizable
-/// [`crate::exp_approx`] / lane reductions, returning the negative log
-/// likelihood of `target`. Shared by the batched gradient and batched
-/// eval paths so train-time and eval-time probabilities stay
-/// numerically identical.
-fn softmax_row_in_place(row: &mut [f32], target: usize) -> f64 {
+/// The max/exp/sum step of the batched softmax over one logits row:
+/// replaces each logit with `exp_approx(logit - max)` (vectorizable
+/// [`crate::exp_approx`] / lane reductions) and returns `1 / Σ`, so
+/// `row[i] * inv_sum` is the probability of `i`. Training normalizes
+/// the whole row ([`softmax_row_in_place`]); evaluation reads only the
+/// target ([`target_nll`]). Both go through this one step, so train-time
+/// and eval-time probabilities stay bit-identical.
+fn exp_row_in_place(row: &mut [f32]) -> f32 {
     let max = crate::tensor::max_lanes(row);
     for v in row.iter_mut() {
         *v = crate::exp_approx(*v - max);
     }
-    let inv_sum = 1.0 / crate::tensor::sum_lanes(row);
+    1.0 / crate::tensor::sum_lanes(row)
+}
+
+/// Negative log-likelihood of a probability, clamped away from zero.
+fn prob_nll(p: f32) -> f64 {
+    -(p.max(1e-12) as f64).ln()
+}
+
+/// In-place softmax over one logits row, returning the negative log
+/// likelihood of `target` — the batched gradient path's `dL/dlogits`.
+fn softmax_row_in_place(row: &mut [f32], target: usize) -> f64 {
+    let inv_sum = exp_row_in_place(row);
     for v in row.iter_mut() {
         *v *= inv_sum;
     }
-    -((row[target].max(1e-12)) as f64).ln()
+    prob_nll(row[target])
+}
+
+/// Negative log-likelihood of `target` under one logits row's softmax,
+/// normalizing only the target's probability (the row is left holding
+/// unnormalized exponentials). Bit-identical to
+/// [`softmax_row_in_place`]'s result.
+fn target_nll(row: &mut [f32], target: usize) -> f64 {
+    let inv_sum = exp_row_in_place(row);
+    prob_nll(row[target] * inv_sum)
 }
 
 /// Splits source text into crude code tokens: identifiers, numbers, and
@@ -722,6 +749,42 @@ mod tests {
         // The batched eval path uses exp_approx (~2e-7 relative), the
         // per-example reference libm exp.
         assert!((lm.nll(&corpus) - reference).abs() < 1e-6);
+    }
+
+    #[test]
+    fn nll_ids_equals_the_full_row_softmax_nll_bitwise() {
+        // A 60-token vocabulary and three 300-token sequences from a
+        // fixed xorshift stream: many distinct rows, and positions that
+        // span several NLL_CHUNK-position forward batches, with chunk
+        // boundaries falling inside a sequence.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let corpus: Vec<Vec<String>> = (0..3)
+            .map(|_| {
+                (0..300)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        format!("t{}", state % 60)
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut lm = NgramLm::new(&corpus, LmConfig::default());
+        let ids = lm.encode_corpus(&corpus);
+        lm.train_epoch_batched(&ids, 0.05, 8);
+        let c = lm.config.context;
+        let (ctxs, targets) = lm.flatten_positions(&ids);
+        assert!(targets.len() > 2 * NLL_CHUNK, "{} positions", targets.len());
+        let mut total = 0.0f64;
+        for (ctx_chunk, target_chunk) in ctxs.chunks(NLL_CHUNK * c).zip(targets.chunks(NLL_CHUNK)) {
+            let (_, _, mut logits) = lm.forward_batch(ctx_chunk);
+            for (e, &target) in target_chunk.iter().enumerate() {
+                total += softmax_row_in_place(logits.row_mut(e), target as usize);
+            }
+        }
+        let reference = total / targets.len() as f64;
+        assert_eq!(lm.nll_ids(&ids).to_bits(), reference.to_bits());
     }
 
     #[test]
