@@ -34,7 +34,8 @@
 //!   anchor-fallback path below keys on.
 //!
 //! A module-fingerprint match replays the whole segment (the fast
-//! path). On a fingerprint **miss** — a warm edit — the orchestrator
+//! path; a clean full replay leaves the segment file untouched). On a
+//! fingerprint **miss** — a warm edit — the orchestrator
 //! falls back to the program's previous segment (pruning keeps at most
 //! one per machine config) and splits the plan by anchor: units whose
 //! anchor-stable key still resolves there are **anchor hits**,
@@ -269,30 +270,40 @@ impl CampaignStore {
         current_fp: u64,
         machine_fp: u64,
     ) -> Option<(u64, LoadedSegment)> {
-        let entries = std::fs::read_dir(&self.root).ok()?;
+        self.named_segments(program, machine_fp)
+            .into_iter()
+            .filter(|&old_fp| old_fp != current_fp)
+            .find_map(|old_fp| {
+                let segment = self.load(program, old_fp, machine_fp);
+                // `header_valid` re-checks the verbatim program name, so a
+                // program-fingerprint collision can never donate lines.
+                (segment.header_valid && segment.format >= SEGMENT_FORMAT)
+                    .then_some((old_fp, segment))
+            })
+    }
+
+    /// Module fingerprints of the segments *named* for `program` under
+    /// `machine_fp` (`{fnv1a(program)}-{module_fp}-{machine_fp}.jsonl`),
+    /// read from the directory listing alone. A name carries only the
+    /// program's fingerprint, so callers check the verbatim header
+    /// before trusting or removing a file.
+    fn named_segments(&self, program: &str, machine_fp: u64) -> Vec<u64> {
+        let Ok(entries) = std::fs::read_dir(&self.root) else {
+            return Vec::new();
+        };
         let prefix = format!("{:016x}-", fnv1a(program.as_bytes()));
         let suffix = format!("-{machine_fp:016x}.jsonl");
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if !name.starts_with(&prefix) || !name.ends_with(&suffix) {
-                continue;
-            }
-            let middle = &name[prefix.len()..name.len() - suffix.len()];
-            let Ok(old_fp) = u64::from_str_radix(middle, 16) else {
-                continue;
-            };
-            if old_fp == current_fp {
-                continue;
-            }
-            let segment = self.load(program, old_fp, machine_fp);
-            // `header_valid` re-checks the verbatim program name, so a
-            // program-fingerprint collision can never donate lines.
-            if segment.header_valid && segment.format >= SEGMENT_FORMAT {
-                return Some((old_fp, segment));
-            }
-        }
-        None
+        entries
+            .flatten()
+            .filter_map(|entry| {
+                let name = entry.file_name();
+                let middle = name
+                    .to_str()?
+                    .strip_prefix(&prefix)?
+                    .strip_suffix(&suffix)?;
+                u64::from_str_radix(middle, 16).ok()
+            })
+            .collect()
     }
 
     /// Per-segment detail for `nfi store inspect`: the header identity
@@ -338,11 +349,16 @@ impl CampaignStore {
     }
 
     /// Persists a complete (or partial) run of `spec` as the segment
-    /// for `(spec.module_fp, machine_fp)`, replacing any previous
-    /// segment atomically (write-then-rename). Segments of the same
-    /// program under the same machine config but a *different* module
-    /// fingerprint are pruned — they can never match again once the
-    /// source changed.
+    /// for `(spec.program, spec.module_fp, machine_fp)`, replacing any
+    /// previous segment atomically (write-then-rename; a failed write
+    /// or rename removes its temp file). Segments of the same program
+    /// under the same machine config but a *different* module
+    /// fingerprint are then pruned (`prune_stale`) — they can never
+    /// match again once the source changed.
+    ///
+    /// [`Orchestrator::run_spec_with`] skips this call when a run
+    /// replayed an intact current-format segment in full: every
+    /// outcome it would write is already on disk.
     ///
     /// # Errors
     ///
@@ -385,8 +401,16 @@ impl CampaignStore {
             std::process::id(),
             SAVE_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        std::fs::write(&tmp, doc).map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, &path).map_err(|e| format!("cannot move segment into place: {e}"))?;
+        let written = std::fs::write(&tmp, doc)
+            .map_err(|e| format!("cannot write {}: {e}", tmp.display()))
+            .and_then(|()| {
+                std::fs::rename(&tmp, &path)
+                    .map_err(|e| format!("cannot move segment into place: {e}"))
+            });
+        if written.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        written?;
         self.prune_stale(&spec.program, spec.module_fp, machine_fp);
         Ok(())
     }
@@ -480,30 +504,31 @@ impl CampaignStore {
 
     /// Removes segments recorded for `program` under `machine_fp` whose
     /// module fingerprint differs from `keep_fp` (the source changed;
-    /// those outcomes can never be replayed again). Best-effort: prune
-    /// failures are ignored — a stale segment is wasted disk, not a
-    /// correctness problem.
+    /// those outcomes can never be replayed again).
+    ///
+    /// Only files *named* for this program and machine config are
+    /// candidates, so a save costs the program's own segments, not a
+    /// scan of every header in the store. A candidate goes only if its
+    /// header names this program and machine fingerprint verbatim, so
+    /// a program-fingerprint collision never removes another program's
+    /// segment. Files under the older two-part naming scheme
+    /// (`{module_fp}-{machine_fp}.jsonl`) are never candidates.
+    /// Best-effort: prune failures are ignored — a stale segment is
+    /// wasted disk, not a correctness problem.
     fn prune_stale(&self, program: &str, keep_fp: u64, machine_fp: u64) {
-        let Ok(entries) = std::fs::read_dir(&self.root) else {
-            return;
-        };
-        let keep = self.segment_path(program, keep_fp, machine_fp);
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path == keep || path.extension().is_none_or(|e| e != "jsonl") {
+        for old_fp in self.named_segments(program, machine_fp) {
+            if old_fp == keep_fp {
                 continue;
             }
-            let header = match std::fs::File::open(&path).map(first_line) {
-                Ok(Some(line)) => line,
-                _ => continue,
-            };
-            let Ok(fields) = parse_flat_object(&header) else {
-                continue;
-            };
-            let same_program = fields.get("program").and_then(JsonValue::as_str) == Some(program);
-            let same_machine = fields.get("machine_fp").and_then(JsonValue::as_str)
-                == Some(format!("{machine_fp:016x}").as_str());
-            if same_program && same_machine {
+            let path = self.segment_path(program, old_fp, machine_fp);
+            let header = std::fs::File::open(&path).ok().and_then(first_line);
+            let owned = header
+                .and_then(|line| parse_flat_object(&line).ok())
+                .is_some_and(|fields| {
+                    fields.get("program").and_then(JsonValue::as_str) == Some(program)
+                        && get_hex_u64(&fields, "machine_fp") == Ok(machine_fp)
+                });
+            if owned {
                 let _ = std::fs::remove_file(&path);
             }
         }
@@ -920,6 +945,16 @@ impl Orchestrator {
                 }
             }
         }
+        // A full fast-path replay of an intact current-format segment:
+        // every outcome a save would write is already on disk, verbatim,
+        // and that segment's own save already pruned its stale siblings.
+        // Any miss, anchor fallback, corruption or format-1 header still
+        // saves, which is how repair and migration happen.
+        let unchanged = fallback.is_none()
+            && missing.is_empty()
+            && segment.errors.is_empty()
+            && segment.header_valid
+            && segment.format == SEGMENT_FORMAT;
         // Corruption in the fallback segment degraded those units to
         // re-execution; surface the reports the same way fast-path
         // corruption is surfaced.
@@ -946,7 +981,9 @@ impl Orchestrator {
         };
         {
             let _persist_span = Span::enter_with("persist", Some(phase_hist("persist")));
-            self.store.save(spec, machine_fp, &merged)?;
+            if !unchanged {
+                self.store.save(spec, machine_fp, &merged)?;
+            }
         }
         // Executed is counted from what actually came back, not from
         // what was dispatched: a supervised dispatcher (the serve
@@ -1648,6 +1685,142 @@ def test_add():
         let truncated: Vec<&str> = text.lines().take(text.lines().count() - 1).collect();
         std::fs::write(&path, truncated.join("\n")).unwrap();
         assert!(orch.replay_full(&spec).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn temp_files(dir: &Path) -> Vec<PathBuf> {
+        std::fs::read_dir(dir.join("store"))
+            .unwrap()
+            .flatten()
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|e| e == "tmp"))
+            .collect()
+    }
+
+    #[test]
+    fn a_full_fast_path_rerun_leaves_the_segment_untouched() {
+        use nfi_telemetry::trace::{push_context, Trace, TraceId};
+        let dir = state_dir("norewrite");
+        let orch = Orchestrator::new(&dir).unwrap();
+        let cold = orch.run_program("demo", SOURCE).unwrap();
+        let path = orch
+            .store
+            .segment_path("demo", cold.run.module_fp, orch.machine.fingerprint());
+        let bytes = std::fs::read(&path).unwrap();
+        let before = std::fs::metadata(&path).unwrap();
+        let trace = Trace::new(TraceId::mint());
+        let warm = {
+            let _ctx = push_context(trace.clone(), 0);
+            orch.run_program("demo", SOURCE).unwrap()
+        };
+        assert_eq!(warm.replayed, warm.units);
+        assert_eq!(warm.run.encode(), cold.run.encode());
+        let after = std::fs::metadata(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        assert_eq!(after.modified().unwrap(), before.modified().unwrap());
+        #[cfg(unix)]
+        {
+            use std::os::unix::fs::MetadataExt;
+            assert_eq!(after.ino(), before.ino(), "no rename replaced the segment");
+        }
+        assert!(temp_files(&dir).is_empty());
+        let persists = trace.spans().iter().filter(|s| s.name == "persist").count();
+        assert_eq!(persists, 1, "the persist phase is still recorded");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reruns_over_a_damaged_or_old_segment_still_rewrite_it() {
+        let dir = state_dir("rewrite");
+        let orch = Orchestrator::new(&dir).unwrap();
+        let cold = orch.run_program("demo", SOURCE).unwrap();
+        let path = orch
+            .store
+            .segment_path("demo", cold.run.module_fp, orch.machine.fingerprint());
+        let original = std::fs::read_to_string(&path).unwrap();
+        let n = cold.units;
+        let (count, fewer, more) = (
+            format!("\"lines\":{n}"),
+            format!("\"lines\":{}", n - 1),
+            format!("\"lines\":{}", n + 1),
+        );
+        let damaged: Vec<(&str, String)> = vec![
+            (
+                "corrupt line",
+                original.replacen("\"outcome\"", "\"outcom\"", 1),
+            ),
+            (
+                "missing unit",
+                original
+                    .lines()
+                    .take(n)
+                    .collect::<Vec<_>>()
+                    .join("\n")
+                    .replacen(&count, &fewer, 1),
+            ),
+            ("format-1 header", original.replace("\"format\":2,", "")),
+            ("miscounted header", original.replacen(&count, &more, 1)),
+        ];
+        for (case, text) in damaged {
+            assert_ne!(text, original, "{case}: the damage took");
+            std::fs::write(&path, &text).unwrap();
+            let rerun = orch.run_program("demo", SOURCE).unwrap();
+            assert_eq!(rerun.run.encode(), cold.run.encode(), "{case}");
+            assert_eq!(
+                std::fs::read_to_string(&path).unwrap(),
+                original,
+                "{case}: the re-run must rewrite the segment"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn save_prunes_only_this_programs_own_stale_segments() {
+        let dir = state_dir("prune-own");
+        let orch = Orchestrator::new(&dir).unwrap();
+        let machine_fp = orch.machine.fingerprint();
+        let first = orch.run_program("demo", SOURCE).unwrap();
+        let other_source = format!("{SOURCE}other_marker = 1\n");
+        let other = orch.run_program("other", &other_source).unwrap();
+        let stale = orch
+            .store
+            .segment_path("demo", first.run.module_fp, machine_fp);
+        let others = orch
+            .store
+            .segment_path("other", other.run.module_fp, machine_fp);
+        // A file named like one of demo's segments whose header names
+        // another program — what a program-fingerprint collision leaves.
+        let impostor = orch.store.segment_path("demo", 0xfeed, machine_fp);
+        std::fs::copy(&others, &impostor).unwrap();
+
+        let edited = orch
+            .run_program("demo", &SOURCE.replace("total + v", "total + v + 0"))
+            .unwrap();
+        assert!(orch
+            .store
+            .segment_path("demo", edited.run.module_fp, machine_fp)
+            .exists());
+        assert!(!stale.exists(), "demo's own stale segment is pruned");
+        assert!(others.exists(), "another program's segment stays");
+        assert!(impostor.exists(), "a header naming another program stays");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_rename_removes_the_temp_file() {
+        let dir = state_dir("rename-fails");
+        let orch = Orchestrator::new(&dir).unwrap();
+        let spec = service::plan_campaign("demo", SOURCE, orch.seed).unwrap();
+        let path = orch
+            .store
+            .segment_path("demo", spec.module_fp, orch.machine.fingerprint());
+        // A non-empty directory where the segment goes: the temp file
+        // writes, the rename onto it fails.
+        std::fs::create_dir_all(path.join("occupied")).unwrap();
+        let err = orch.run_spec(&spec).expect_err("the save must fail");
+        assert!(err.contains("cannot move segment into place"), "{err}");
+        assert!(temp_files(&dir).is_empty(), "{:?}", temp_files(&dir));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

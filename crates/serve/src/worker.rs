@@ -16,7 +16,9 @@
 //!
 //! * a watchdog kills any child that outlives its execution budget
 //!   ([`WorkerPool::child_timeout`]) — a hung child no longer wedges a
-//!   scheduler lane until daemon restart;
+//!   scheduler lane until daemon restart — while a child that exits is
+//!   reaped as soon as its stderr closes, not on the watchdog's next
+//!   tick;
 //! * a crashed or killed shard is retried on a fresh child up to
 //!   [`WorkerPool::max_retries`] times, with capped exponential
 //!   backoff plus deterministic jitter between attempts;
@@ -38,13 +40,17 @@ use nfi_core::{IncrementalRun, Orchestrator};
 use nfi_sfi::CampaignSpec;
 use nfi_telemetry::{trace, Span, SpanRecord};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How often the watchdog polls a running child.
+/// The watchdog's tick: the longest it waits between budget checks.
 const WATCHDOG_POLL: Duration = Duration::from_millis(10);
+/// First poll once a child's stderr has closed; doubles per poll up
+/// to [`WATCHDOG_POLL`].
+const REAP_POLL: Duration = Duration::from_micros(100);
 /// First retry backoff; doubles per retry up to [`BACKOFF_CAP`].
 const BACKOFF_BASE: Duration = Duration::from_millis(100);
 /// Longest backoff between retries.
@@ -347,7 +353,7 @@ impl WorkerPool {
     }
 
     /// One supervised child: spawn, drain stderr on a side thread,
-    /// poll under the watchdog budget, decode the shard document.
+    /// wait under the watchdog budget, decode the shard document.
     #[allow(clippy::too_many_arguments)]
     fn run_child(
         &self,
@@ -383,12 +389,13 @@ impl WorkerPool {
             .spawn()
             .map_err(|e| format!("cannot spawn {label} ({}): {e}", nfi.display()))?;
         // Drain stderr concurrently so a chatty child cannot deadlock
-        // against a full pipe while the watchdog polls. The drain
+        // against a full pipe while the watchdog waits. The drain
         // reports through a channel rather than a join: a killed
         // child's orphaned grandchildren can inherit the pipe's write
         // end and keep it open indefinitely, and the watchdog's whole
         // point is that nothing a misbehaving child does stalls the
-        // lane. On the grace-period timeout the thread is abandoned to
+        // lane. If the watchdog did not already receive the bytes, it
+        // waits a grace period for them, then abandons the thread to
         // exit whenever the last writer finally closes the pipe.
         let drain = child.stderr.take().map(|mut pipe| {
             let (tx, rx) = std::sync::mpsc::channel();
@@ -400,9 +407,10 @@ impl WorkerPool {
             });
             rx
         });
-        let verdict = self.watch(&mut child, label);
-        let stderr = drain
-            .and_then(|rx| rx.recv_timeout(Duration::from_millis(200)).ok())
+        let mut stderr = None;
+        let verdict = self.watch(&mut child, label, drain.as_ref(), &mut stderr);
+        let stderr = stderr
+            .or_else(|| drain.and_then(|rx| rx.recv_timeout(Duration::from_millis(200)).ok()))
             .map(|buf| String::from_utf8_lossy(&buf).into_owned())
             .unwrap_or_default();
         // Re-anchor the spans the child echoed (even from a failed
@@ -440,15 +448,33 @@ impl WorkerPool {
         Ok(run)
     }
 
-    /// Polls a child to completion or kills it at the watchdog budget.
-    fn watch(&self, child: &mut Child, label: &str) -> Result<std::process::ExitStatus, String> {
+    /// Waits for a child to exit, or kills it at the watchdog budget.
+    ///
+    /// The child's exit closes its stderr pipe, which ends the drain
+    /// thread and fires `drain`; so between budget checks the watchdog
+    /// blocks on that channel rather than sleeping out the tick, and an
+    /// exiting child is reaped at once. What the drain read lands in
+    /// `stderr`. A closed pipe does not prove an exit — a child may
+    /// close stderr and keep running — so once it has closed the
+    /// watchdog polls instead, starting at [`REAP_POLL`] and doubling
+    /// up to one tick.
+    fn watch(
+        &self,
+        child: &mut Child,
+        label: &str,
+        mut drain: Option<&Receiver<Vec<u8>>>,
+        stderr: &mut Option<Vec<u8>>,
+    ) -> Result<ExitStatus, String> {
         let started = Instant::now();
+        let mut nap = REAP_POLL;
         loop {
             match child.try_wait() {
                 Ok(Some(status)) => return Ok(status),
                 Ok(None) => {
+                    let mut tick = WATCHDOG_POLL;
                     if let Some(budget) = self.child_timeout {
-                        if started.elapsed() >= budget {
+                        let elapsed = started.elapsed();
+                        if elapsed >= budget {
                             let _ = child.kill();
                             let _ = child.wait();
                             self.events.watchdog_kills.fetch_add(1, Ordering::Relaxed);
@@ -457,8 +483,19 @@ impl WorkerPool {
                                 budget.as_millis()
                             ));
                         }
+                        tick = tick.min(budget - elapsed);
                     }
-                    std::thread::sleep(WATCHDOG_POLL);
+                    match drain.map(|rx| rx.recv_timeout(tick)) {
+                        Some(Err(RecvTimeoutError::Timeout)) => {}
+                        Some(closed) => {
+                            *stderr = closed.ok();
+                            drain = None;
+                        }
+                        None => {
+                            std::thread::sleep(nap.min(tick));
+                            nap = (nap * 2).min(WATCHDOG_POLL);
+                        }
+                    }
                 }
                 Err(e) => {
                     let _ = child.kill();
@@ -600,6 +637,61 @@ def test_add():
             pool.events.failed_units.load(Ordering::Relaxed),
             spec.units.len() as u64
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn watchdog_kills_a_child_that_closed_stderr_and_kept_running() {
+        // The closed pipe ends the drain early, so only the watchdog's
+        // own polls can notice the budget run out.
+        let dir = scratch("closed-stderr");
+        let nfi = fake_nfi(&dir, "exec 2>&-; sleep 60");
+        let pool = WorkerPool {
+            child_timeout: Some(Duration::from_millis(80)),
+            ..WorkerPool::new(WorkerMode::Spawn { nfi: nfi.clone() }, 1, dir.join("tmp"))
+        };
+        let started = Instant::now();
+        let err = pool
+            .run_child(&nfi, &dir.join("plan"), &dir.join("out"), "0/1", "child", 1)
+            .expect_err("a killed child yields no shard");
+        let took = started.elapsed();
+        assert!(err.contains("watchdog killed child"), "{err}");
+        assert!(
+            took >= Duration::from_millis(80) && took < Duration::from_secs(10),
+            "killed at its 80ms budget, took {took:?}"
+        );
+        assert_eq!(pool.events.watchdog_kills.load(Ordering::Relaxed), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn an_exiting_child_is_reaped_within_one_watchdog_tick() {
+        let dir = scratch("reap");
+        // Long enough to outlive the watchdog's first look, so only a
+        // wake-up on its exit can reap it within the tick.
+        let nfi = fake_nfi(&dir, "exec sleep 0.002");
+        let pool = WorkerPool {
+            child_timeout: Some(Duration::from_secs(30)),
+            ..WorkerPool::new(WorkerMode::Spawn { nfi: nfi.clone() }, 1, dir.join("tmp"))
+        };
+        let run = || {
+            let started = Instant::now();
+            let outcome =
+                pool.run_child(&nfi, &dir.join("plan"), &dir.join("out"), "0/1", "child", 1);
+            assert!(outcome.is_err(), "the fake child writes no document");
+            started.elapsed()
+        };
+        // The fastest of five runs, so a loaded host cannot fail it; a
+        // watchdog that slept a whole tick before its second look would
+        // take at least WATCHDOG_POLL every time.
+        let fastest = (0..5).map(|_| run()).min().unwrap();
+        assert!(
+            fastest < WATCHDOG_POLL,
+            "spawn to reap took {fastest:?}, at least one {WATCHDOG_POLL:?} tick"
+        );
+        assert_eq!(pool.events.watchdog_kills.load(Ordering::Relaxed), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
