@@ -26,7 +26,7 @@ use nfi_sfi::{apply_plan, plan_hash, FaultPlan, InjectedFault};
 use std::sync::{Arc, OnceLock};
 
 pub use nfi_inject::codecache::{CodeCache, CODE_CACHE_CAPACITY};
-pub use nfi_inject::memo::{CacheStats, SuiteCache, DEFAULT_CACHE_CAPACITY};
+pub use nfi_inject::memo::{CacheStats, ExperimentCache, SuiteCache, DEFAULT_CACHE_CAPACITY};
 
 /// A memoized mutant: the applied fault plus the mutated module's own
 /// fingerprint, computed once at miss time so warm hits never re-print

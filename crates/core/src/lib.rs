@@ -44,10 +44,7 @@ pub mod store;
 
 pub use cache::{CacheStats, CachedMutant, MutantCache};
 pub use exec::{CampaignRun, CampaignRunReport, ExecConfig};
-pub use metrics::{
-    field_profile, js_distance, EdgeStats, EffortModel, FleetStats, JournalStats, QueueStats,
-    RetryStats, RuntimeSnapshot, StoreTotals,
-};
+pub use metrics::{field_profile, js_distance, EffortModel};
 pub use pipeline::{InjectionReport, NeuralFaultInjector, PipelineConfig, PipelineError};
 pub use service::{
     exec_spec, exec_units, merge, plan_campaign, DispatchTier, ShardOutcome, ShardRun,

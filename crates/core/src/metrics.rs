@@ -3,144 +3,14 @@
 //! * the **evaluation** metrics of the paper's comparative study —
 //!   coverage, representativeness (Jensen–Shannon distance to a field
 //!   fault profile), and tester effort;
-//! * the **operational** metrics of the long-running service —
-//!   [`RuntimeSnapshot`] gathers the process-wide cache counters, the
-//!   job-queue gauges, and the incremental-store totals into the one
-//!   JSON document `GET /v1/metrics` serves.
+//! * the **latency** summary of the long-running service —
+//!   [`LatencySummary`] condenses the telemetry histograms into the
+//!   `latency` section of `GET /v1/metrics` (the daemon's counters are
+//!   declared in `nfi_serve::metrics`).
 
-use crate::cache::CacheStats;
 use nfi_sfi::FaultClass;
-use nfi_telemetry::{families, prom::PromText, Histogram};
+use nfi_telemetry::{families, hist::SeriesSnapshot, Histogram};
 use std::collections::BTreeMap;
-
-/// Job-queue gauges and counters of a serving daemon.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueueStats {
-    /// Jobs waiting in the queue right now.
-    pub depth: usize,
-    /// Concurrent scheduler lanes draining the queue.
-    pub lanes: usize,
-    /// Jobs currently executing.
-    pub running: usize,
-    /// Jobs accepted since startup.
-    pub submitted: u64,
-    /// Jobs finished successfully since startup.
-    pub completed: u64,
-    /// Jobs that ended in an error since startup.
-    pub failed: u64,
-}
-
-/// Job-journal counters of a serving daemon: how much the crash-safe
-/// journal has recorded this run and what its startup replay recovered.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JournalStats {
-    /// Records appended since startup.
-    pub appended: u64,
-    /// Unfinished jobs the startup replay re-enqueued.
-    pub recovered_queued: u64,
-    /// Finished jobs the startup replay restored.
-    pub recovered_finished: u64,
-    /// Journal lines the startup replay skipped as corrupt.
-    pub corrupt_lines: u64,
-    /// Journal compactions performed (startup + threshold-triggered).
-    pub compactions: u64,
-}
-
-/// Serving-edge rejection counters: requests the daemon turned away
-/// before they reached the scheduler (auth, admission control, and
-/// slow-client timeouts).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EdgeStats {
-    /// Requests rejected with `401` (missing or wrong bearer token).
-    pub unauthorized: u64,
-    /// Requests shed with `429` by the per-client token bucket.
-    pub rate_limited: u64,
-    /// Submissions shed with `503` because the job queue was full or a
-    /// tenant quota was exceeded.
-    pub queue_shed: u64,
-    /// Connections refused with `503` at the connection cap.
-    pub connections_shed: u64,
-    /// Connections dropped with `408` for exceeding the per-request
-    /// read deadline (slowloris bound).
-    pub timeouts: u64,
-}
-
-/// Worker-supervision counters: everything the lane watchdog and the
-/// retry loop did to keep jobs finishing without a daemon restart.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetryStats {
-    /// Worker children retried on a fresh process (crash or timeout).
-    pub retries: u64,
-    /// Worker children killed by the lane watchdog for exceeding
-    /// their execution budget.
-    pub watchdog_kills: u64,
-    /// Jobs that expired in the queue past their deadline.
-    pub deadline_expiries: u64,
-    /// Work units that exhausted every retry and finished with a
-    /// per-unit failure outcome.
-    pub failed_units: u64,
-}
-
-/// Remote-worker fleet counters of a serving daemon: registry
-/// liveness, protocol traffic, and assignment lifecycle events for the
-/// `nfi worker` dispatch tier.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FleetStats {
-    /// Registered workers currently live (heartbeating).
-    pub workers_live: u64,
-    /// Workers marked lost after a heartbeat timeout.
-    pub workers_lost: u64,
-    /// Successful worker registrations (rejoins included).
-    pub registrations: u64,
-    /// Accepted heartbeats.
-    pub heartbeats: u64,
-    /// Accepted assignment polls.
-    pub polls: u64,
-    /// Assignments created by dispatching lanes.
-    pub assignments_dispatched: u64,
-    /// Assignments completed by a worker result.
-    pub assignments_completed: u64,
-    /// Assignment requeues (heartbeat loss, rejoin, failure).
-    pub assignments_requeued: u64,
-    /// Worker-reported failures and undecodable shard documents.
-    pub assignments_failed: u64,
-    /// Late duplicate results discarded (first result wins).
-    pub duplicate_results: u64,
-    /// Requests refused for carrying a stale registration generation.
-    pub stale_rejections: u64,
-    /// Assignments the dispatching lane executed locally after the
-    /// fleet could not (requeue cap exhausted or no live workers).
-    pub local_fallbacks: u64,
-}
-
-/// Incremental-store totals across every job a daemon has run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreTotals {
-    /// Campaign work units planned across all completed jobs.
-    pub units: u64,
-    /// Units replayed from the on-disk store (fast-path verbatim
-    /// replays plus anchor-fallback replays).
-    pub replayed: u64,
-    /// Units that had to execute (store misses + corrupt lines).
-    pub executed: u64,
-    /// Of `replayed`, units recovered through the anchor fallback — a
-    /// warm edit replaying the previous segment by structural anchor.
-    pub anchor_hits: u64,
-    /// Units the anchor fallback was consulted for but could not cover
-    /// (the changed-function remainder of warm edits).
-    pub anchor_misses: u64,
-}
-
-impl StoreTotals {
-    /// Store hit fraction in `[0, 1]` (0 when nothing ran yet).
-    pub fn hit_rate(&self) -> f64 {
-        if self.units == 0 {
-            0.0
-        } else {
-            self.replayed as f64 / self.units as f64
-        }
-    }
-}
 
 /// Latency distributions summarized from the process-wide telemetry
 /// registry: HTTP request duration (all routes merged), queue wait,
@@ -157,11 +27,12 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Summarizes the current state of the global histogram registry.
-    pub fn capture() -> LatencySummary {
+    /// Summarizes a histogram registry snapshot (the daemon passes
+    /// `nfi_telemetry::registry().snapshot()`).
+    pub fn from_series(snapshot: &[SeriesSnapshot]) -> LatencySummary {
         let mut summary = LatencySummary::default();
         let mut phases: BTreeMap<String, Histogram> = BTreeMap::new();
-        for series in nfi_telemetry::registry().snapshot() {
+        for series in snapshot {
             match series.family.as_str() {
                 f if f == families::HTTP => summary.http.merge(&series.hist),
                 f if f == families::QUEUE_WAIT => summary.queue_wait.merge(&series.hist),
@@ -211,424 +82,6 @@ impl LatencySummary {
             Self::render_hist(&self.queue_wait),
             phases.join(","),
         )
-    }
-}
-
-/// A point-in-time operational snapshot: cache, store, and queue stats.
-#[derive(Debug, Clone, Default)]
-pub struct RuntimeSnapshot {
-    /// Process-wide mutant-cache counters.
-    pub mutant_cache: CacheStats,
-    /// Process-wide experiment-cache counters.
-    pub experiment_cache: CacheStats,
-    /// Process-wide pristine-suite memo counters.
-    pub suite_cache: CacheStats,
-    /// Process-wide compiled-code cache counters (aggregated across
-    /// worker threads).
-    pub code_cache: CacheStats,
-    /// Job-queue gauges (zeroed outside a daemon).
-    pub queue: QueueStats,
-    /// Store replay/execute totals (zeroed outside a daemon).
-    pub store: StoreTotals,
-    /// Job-journal counters (zeroed outside a daemon).
-    pub journal: JournalStats,
-    /// Serving-edge rejection counters (zeroed outside a daemon).
-    pub edge: EdgeStats,
-    /// Worker-supervision counters (zeroed outside a daemon).
-    pub retry: RetryStats,
-    /// Remote-worker fleet counters (zeroed outside a daemon).
-    pub fleet: FleetStats,
-    /// Latency distributions from the global telemetry registry.
-    pub latency: LatencySummary,
-}
-
-impl RuntimeSnapshot {
-    /// Captures the process-wide cache counters alongside the
-    /// caller-tracked queue, store, journal, edge, retry, and fleet
-    /// numbers.
-    pub fn capture(
-        queue: QueueStats,
-        store: StoreTotals,
-        journal: JournalStats,
-        edge: EdgeStats,
-        retry: RetryStats,
-        fleet: FleetStats,
-    ) -> RuntimeSnapshot {
-        RuntimeSnapshot {
-            mutant_cache: crate::cache::MutantCache::global().stats(),
-            experiment_cache: nfi_inject::memo::ExperimentCache::global().stats(),
-            suite_cache: nfi_inject::memo::SuiteCache::global().stats(),
-            code_cache: nfi_inject::codecache::CodeCache::global().stats(),
-            queue,
-            store,
-            journal,
-            edge,
-            retry,
-            fleet,
-            latency: LatencySummary::capture(),
-        }
-    }
-
-    /// Renders the snapshot as a small stable JSON document.
-    pub fn render_json(&self) -> String {
-        let cache = |s: &CacheStats| {
-            format!(
-                "{{\"hits\":{},\"misses\":{},\"hit_rate\":{:.3},\"entries\":{},\"evictions\":{},\"capacity\":{}}}",
-                s.hits,
-                s.misses,
-                s.hit_rate(),
-                s.entries,
-                s.evictions,
-                s.capacity
-                    .map_or("null".to_string(), |c| c.to_string()),
-            )
-        };
-        let mut body = format!(
-            "{{\"queue\":{{\"depth\":{},\"lanes\":{},\"running\":{},\"submitted\":{},\"completed\":{},\"failed\":{}}},\"store\":{{\"units\":{},\"replayed\":{},\"executed\":{},\"anchor_hits\":{},\"anchor_misses\":{},\"hit_rate\":{:.3}}},\"journal\":{{\"appended\":{},\"recovered_queued\":{},\"recovered_finished\":{},\"corrupt_lines\":{},\"compactions\":{}}},\"edge\":{{\"unauthorized\":{},\"rate_limited\":{},\"queue_shed\":{},\"connections_shed\":{},\"timeouts\":{}}},\"retry\":{{\"retries\":{},\"watchdog_kills\":{},\"deadline_expiries\":{},\"failed_units\":{}}},\"mutant_cache\":{},\"experiment_cache\":{},\"suite_cache\":{},\"code_cache\":{}}}",
-            self.queue.depth,
-            self.queue.lanes,
-            self.queue.running,
-            self.queue.submitted,
-            self.queue.completed,
-            self.queue.failed,
-            self.store.units,
-            self.store.replayed,
-            self.store.executed,
-            self.store.anchor_hits,
-            self.store.anchor_misses,
-            self.store.hit_rate(),
-            self.journal.appended,
-            self.journal.recovered_queued,
-            self.journal.recovered_finished,
-            self.journal.corrupt_lines,
-            self.journal.compactions,
-            self.edge.unauthorized,
-            self.edge.rate_limited,
-            self.edge.queue_shed,
-            self.edge.connections_shed,
-            self.edge.timeouts,
-            self.retry.retries,
-            self.retry.watchdog_kills,
-            self.retry.deadline_expiries,
-            self.retry.failed_units,
-            cache(&self.mutant_cache),
-            cache(&self.experiment_cache),
-            cache(&self.suite_cache),
-            cache(&self.code_cache),
-        );
-        // The latency and fleet sections ride at the end so every
-        // pre-existing section keeps its byte position for substring
-        // consumers.
-        body.truncate(body.len() - 1);
-        body.push_str(",\"latency\":");
-        body.push_str(&self.latency.render_json());
-        body.push_str(&format!(
-            ",\"fleet\":{{\"workers_live\":{},\"workers_lost\":{},\"registrations\":{},\"heartbeats\":{},\"polls\":{},\"assignments_dispatched\":{},\"assignments_completed\":{},\"assignments_requeued\":{},\"assignments_failed\":{},\"duplicate_results\":{},\"stale_rejections\":{},\"local_fallbacks\":{}}}",
-            self.fleet.workers_live,
-            self.fleet.workers_lost,
-            self.fleet.registrations,
-            self.fleet.heartbeats,
-            self.fleet.polls,
-            self.fleet.assignments_dispatched,
-            self.fleet.assignments_completed,
-            self.fleet.assignments_requeued,
-            self.fleet.assignments_failed,
-            self.fleet.duplicate_results,
-            self.fleet.stale_rejections,
-            self.fleet.local_fallbacks,
-        ));
-        body.push('}');
-        body
-    }
-
-    /// Renders the snapshot in Prometheus text exposition format —
-    /// every `/v1/metrics` counter as a `nfi_*` family, plus the
-    /// latency histograms straight from the telemetry registry (per
-    /// series, with their route/status/phase labels).
-    pub fn render_prometheus(&self) -> String {
-        let mut p = PromText::new();
-        p.gauge(
-            "nfi_queue_depth",
-            "Jobs waiting in the queue.",
-            &[],
-            self.queue.depth as f64,
-        );
-        p.gauge(
-            "nfi_queue_lanes",
-            "Concurrent scheduler lanes.",
-            &[],
-            self.queue.lanes as f64,
-        );
-        p.gauge(
-            "nfi_queue_running",
-            "Jobs currently executing.",
-            &[],
-            self.queue.running as f64,
-        );
-        p.counter(
-            "nfi_jobs_submitted_total",
-            "Jobs accepted since startup.",
-            &[],
-            self.queue.submitted,
-        );
-        p.counter(
-            "nfi_jobs_completed_total",
-            "Jobs finished successfully.",
-            &[],
-            self.queue.completed,
-        );
-        p.counter(
-            "nfi_jobs_failed_total",
-            "Jobs that ended in an error.",
-            &[],
-            self.queue.failed,
-        );
-        p.counter(
-            "nfi_store_units_total",
-            "Campaign work units planned.",
-            &[],
-            self.store.units,
-        );
-        p.counter(
-            "nfi_store_replayed_total",
-            "Units replayed from the store.",
-            &[],
-            self.store.replayed,
-        );
-        p.counter(
-            "nfi_store_executed_total",
-            "Units that had to execute.",
-            &[],
-            self.store.executed,
-        );
-        p.counter(
-            "nfi_store_anchor_hits_total",
-            "Units replayed via the anchor fallback.",
-            &[],
-            self.store.anchor_hits,
-        );
-        p.counter(
-            "nfi_store_anchor_misses_total",
-            "Units the anchor fallback could not cover.",
-            &[],
-            self.store.anchor_misses,
-        );
-        p.counter(
-            "nfi_journal_appended_total",
-            "Journal records appended.",
-            &[],
-            self.journal.appended,
-        );
-        p.counter(
-            "nfi_journal_recovered_queued_total",
-            "Unfinished jobs re-enqueued at startup.",
-            &[],
-            self.journal.recovered_queued,
-        );
-        p.counter(
-            "nfi_journal_recovered_finished_total",
-            "Finished jobs restored at startup.",
-            &[],
-            self.journal.recovered_finished,
-        );
-        p.counter(
-            "nfi_journal_corrupt_lines_total",
-            "Journal lines skipped as corrupt.",
-            &[],
-            self.journal.corrupt_lines,
-        );
-        p.counter(
-            "nfi_journal_compactions_total",
-            "Journal compactions performed.",
-            &[],
-            self.journal.compactions,
-        );
-        const EDGE_HELP: &str = "Requests rejected at the serving edge, by reason.";
-        p.counter(
-            "nfi_edge_rejections_total",
-            EDGE_HELP,
-            &[("reason", "unauthorized")],
-            self.edge.unauthorized,
-        );
-        p.counter(
-            "nfi_edge_rejections_total",
-            EDGE_HELP,
-            &[("reason", "rate_limited")],
-            self.edge.rate_limited,
-        );
-        p.counter(
-            "nfi_edge_rejections_total",
-            EDGE_HELP,
-            &[("reason", "queue_shed")],
-            self.edge.queue_shed,
-        );
-        p.counter(
-            "nfi_edge_rejections_total",
-            EDGE_HELP,
-            &[("reason", "connections_shed")],
-            self.edge.connections_shed,
-        );
-        p.counter(
-            "nfi_edge_rejections_total",
-            EDGE_HELP,
-            &[("reason", "timeout")],
-            self.edge.timeouts,
-        );
-        const WORKER_HELP: &str = "Worker-supervision events, by kind.";
-        p.counter(
-            "nfi_worker_events_total",
-            WORKER_HELP,
-            &[("kind", "retry")],
-            self.retry.retries,
-        );
-        p.counter(
-            "nfi_worker_events_total",
-            WORKER_HELP,
-            &[("kind", "watchdog_kill")],
-            self.retry.watchdog_kills,
-        );
-        p.counter(
-            "nfi_worker_events_total",
-            WORKER_HELP,
-            &[("kind", "deadline_expiry")],
-            self.retry.deadline_expiries,
-        );
-        p.counter(
-            "nfi_worker_events_total",
-            WORKER_HELP,
-            &[("kind", "failed_unit")],
-            self.retry.failed_units,
-        );
-        p.gauge(
-            "nfi_fleet_workers",
-            "Registered remote workers, by liveness state.",
-            &[("state", "live")],
-            self.fleet.workers_live as f64,
-        );
-        const FLEET_EVENT_HELP: &str = "Remote-worker fleet protocol events, by kind.";
-        p.counter(
-            "nfi_fleet_events_total",
-            FLEET_EVENT_HELP,
-            &[("kind", "registration")],
-            self.fleet.registrations,
-        );
-        p.counter(
-            "nfi_fleet_events_total",
-            FLEET_EVENT_HELP,
-            &[("kind", "heartbeat")],
-            self.fleet.heartbeats,
-        );
-        p.counter(
-            "nfi_fleet_events_total",
-            FLEET_EVENT_HELP,
-            &[("kind", "poll")],
-            self.fleet.polls,
-        );
-        p.counter(
-            "nfi_fleet_events_total",
-            FLEET_EVENT_HELP,
-            &[("kind", "worker_lost")],
-            self.fleet.workers_lost,
-        );
-        p.counter(
-            "nfi_fleet_events_total",
-            FLEET_EVENT_HELP,
-            &[("kind", "stale_rejection")],
-            self.fleet.stale_rejections,
-        );
-        const FLEET_ASSIGN_HELP: &str = "Fleet assignment lifecycle events, by kind.";
-        p.counter(
-            "nfi_fleet_assignments_total",
-            FLEET_ASSIGN_HELP,
-            &[("kind", "dispatched")],
-            self.fleet.assignments_dispatched,
-        );
-        p.counter(
-            "nfi_fleet_assignments_total",
-            FLEET_ASSIGN_HELP,
-            &[("kind", "completed")],
-            self.fleet.assignments_completed,
-        );
-        p.counter(
-            "nfi_fleet_assignments_total",
-            FLEET_ASSIGN_HELP,
-            &[("kind", "requeued")],
-            self.fleet.assignments_requeued,
-        );
-        p.counter(
-            "nfi_fleet_assignments_total",
-            FLEET_ASSIGN_HELP,
-            &[("kind", "failed")],
-            self.fleet.assignments_failed,
-        );
-        p.counter(
-            "nfi_fleet_assignments_total",
-            FLEET_ASSIGN_HELP,
-            &[("kind", "duplicate")],
-            self.fleet.duplicate_results,
-        );
-        p.counter(
-            "nfi_fleet_assignments_total",
-            FLEET_ASSIGN_HELP,
-            &[("kind", "local_fallback")],
-            self.fleet.local_fallbacks,
-        );
-        for (name, stats) in [
-            ("mutant", &self.mutant_cache),
-            ("experiment", &self.experiment_cache),
-            ("suite", &self.suite_cache),
-            ("code", &self.code_cache),
-        ] {
-            let labels = [("cache", name)];
-            p.counter(
-                "nfi_cache_hits_total",
-                "Cache hits, by cache.",
-                &labels,
-                stats.hits,
-            );
-            p.counter(
-                "nfi_cache_misses_total",
-                "Cache misses, by cache.",
-                &labels,
-                stats.misses,
-            );
-            p.counter(
-                "nfi_cache_evictions_total",
-                "Cache evictions, by cache.",
-                &labels,
-                stats.evictions,
-            );
-            p.gauge(
-                "nfi_cache_entries",
-                "Resident cache entries, by cache.",
-                &labels,
-                stats.entries as f64,
-            );
-        }
-        for series in nfi_telemetry::registry().snapshot() {
-            let labels: Vec<(&str, &str)> = series
-                .labels
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .collect();
-            let (name, help) = match series.family.as_str() {
-                f if f == families::HTTP => (
-                    "nfi_http_request_duration_seconds",
-                    "HTTP request duration, by route and status class.",
-                ),
-                f if f == families::QUEUE_WAIT => (
-                    "nfi_queue_wait_seconds",
-                    "Job wait from accept to lane start.",
-                ),
-                f if f == families::PHASE => (
-                    "nfi_phase_duration_seconds",
-                    "Orchestrator phase duration, by phase.",
-                ),
-                _ => continue,
-            };
-            p.histogram(name, help, &labels, &series.hist);
-        }
-        p.finish()
     }
 }
 
@@ -802,238 +255,27 @@ mod tests {
     }
 
     #[test]
-    fn runtime_snapshot_renders_parseable_sections() {
-        let snap = RuntimeSnapshot {
-            mutant_cache: CacheStats {
-                hits: 3,
-                misses: 1,
-                entries: 1,
-                evictions: 0,
-                capacity: Some(64),
-            },
-            experiment_cache: CacheStats::default(),
-            suite_cache: CacheStats {
-                hits: 5,
-                misses: 1,
-                entries: 1,
-                evictions: 0,
-                capacity: Some(65_536),
-            },
-            code_cache: CacheStats {
-                hits: 8,
-                misses: 2,
-                entries: 2,
-                evictions: 0,
-                capacity: Some(4096),
-            },
-            queue: QueueStats {
-                depth: 2,
-                lanes: 4,
-                running: 1,
-                submitted: 7,
-                completed: 4,
-                failed: 0,
-            },
-            store: StoreTotals {
-                units: 100,
-                replayed: 75,
-                executed: 25,
-                anchor_hits: 30,
-                anchor_misses: 10,
-            },
-            journal: JournalStats {
-                appended: 11,
-                recovered_queued: 2,
-                recovered_finished: 3,
-                corrupt_lines: 1,
-                compactions: 1,
-            },
-            edge: EdgeStats {
-                unauthorized: 5,
-                rate_limited: 9,
-                queue_shed: 2,
-                connections_shed: 1,
-                timeouts: 4,
-            },
-            retry: RetryStats {
-                retries: 6,
-                watchdog_kills: 2,
-                deadline_expiries: 1,
-                failed_units: 3,
-            },
-            fleet: FleetStats {
-                workers_live: 3,
-                workers_lost: 1,
-                registrations: 4,
-                heartbeats: 12,
-                polls: 30,
-                assignments_dispatched: 8,
-                assignments_completed: 7,
-                assignments_requeued: 2,
-                assignments_failed: 1,
-                duplicate_results: 1,
-                stale_rejections: 2,
-                local_fallbacks: 1,
-            },
-            latency: {
-                let mut l = LatencySummary::default();
-                l.http.record_micros(100);
-                l.http.record_micros(3_000);
-                l.queue_wait.record_micros(40);
-                let mut execute = Histogram::new();
-                execute.record_micros(2_000_000);
-                l.phases = vec![("execute".to_string(), execute)];
-                l
-            },
-        };
-        let json = snap.render_json();
-        assert!(json.contains("\"depth\":2"));
-        assert!(json.contains("\"lanes\":4"));
-        assert!(json.contains("\"submitted\":7"));
-        assert!(json.contains("\"hit_rate\":0.750"));
-        assert!(json.contains("\"anchor_hits\":30,\"anchor_misses\":10"));
-        assert!(json.contains("\"capacity\":64"));
-        assert!(json.contains("\"capacity\":null"));
-        assert!(json.contains("\"journal\":{\"appended\":11"));
-        assert!(json.contains("\"recovered_queued\":2"));
-        assert!(json.contains("\"edge\":{\"unauthorized\":5,\"rate_limited\":9"));
-        assert!(json.contains("\"retry\":{\"retries\":6,\"watchdog_kills\":2"));
-        assert!(json.contains("\"code_cache\":{\"hits\":8,\"misses\":2,\"hit_rate\":0.800"));
-        assert!(json.contains("\"suite_cache\":{\"hits\":5,\"misses\":1,\"hit_rate\":0.833"));
-        assert!(json.contains("\"capacity\":4096"));
-        // The latency section rides at the end with per-histogram
-        // percentile summaries.
-        assert!(json.contains("\"latency\":{\"http\":{\"count\":2"));
-        assert!(json.contains("\"queue_wait\":{\"count\":1"));
-        assert!(json.contains("\"phases\":{\"execute\":{\"count\":1"));
-        assert!(json.contains("\"p99_us\":"));
-        // The fleet section follows latency at the tail.
-        assert!(json.contains("\"fleet\":{\"workers_live\":3,\"workers_lost\":1"));
-        assert!(json.contains("\"assignments_dispatched\":8"));
-        assert!(json.contains("\"duplicate_results\":1"));
-        assert!(json.contains("\"local_fallbacks\":1"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn prometheus_page_carries_every_counter_and_conforms() {
-        let mut snap = RuntimeSnapshot {
-            queue: QueueStats {
-                depth: 1,
-                lanes: 2,
-                running: 1,
-                submitted: 9,
-                completed: 7,
-                failed: 1,
-            },
-            store: StoreTotals {
-                units: 50,
-                replayed: 40,
-                executed: 10,
-                anchor_hits: 5,
-                anchor_misses: 2,
-            },
-            journal: JournalStats {
-                appended: 3,
-                ..JournalStats::default()
-            },
-            edge: EdgeStats {
-                unauthorized: 4,
-                rate_limited: 2,
-                ..EdgeStats::default()
-            },
-            retry: RetryStats {
-                retries: 1,
-                ..RetryStats::default()
-            },
-            fleet: FleetStats {
-                workers_live: 2,
-                registrations: 3,
-                assignments_dispatched: 5,
-                assignments_completed: 4,
-                ..FleetStats::default()
-            },
-            ..RuntimeSnapshot::default()
-        };
-        snap.latency.http.record_micros(250);
-        let page = snap.render_prometheus();
-        nfi_telemetry::prom::check_conformance(&page)
-            .unwrap_or_else(|e| panic!("non-conformant page: {e}\n{page}"));
-        // Every JSON counter has a Prometheus family.
-        for needle in [
-            "nfi_queue_depth 1",
-            "nfi_queue_lanes 2",
-            "nfi_jobs_submitted_total 9",
-            "nfi_jobs_completed_total 7",
-            "nfi_jobs_failed_total 1",
-            "nfi_store_units_total 50",
-            "nfi_store_replayed_total 40",
-            "nfi_store_executed_total 10",
-            "nfi_store_anchor_hits_total 5",
-            "nfi_store_anchor_misses_total 2",
-            "nfi_journal_appended_total 3",
-            "nfi_edge_rejections_total{reason=\"unauthorized\"} 4",
-            "nfi_edge_rejections_total{reason=\"rate_limited\"} 2",
-            "nfi_worker_events_total{kind=\"retry\"} 1",
-            "nfi_fleet_workers{state=\"live\"} 2",
-            "nfi_fleet_events_total{kind=\"registration\"} 3",
-            "nfi_fleet_assignments_total{kind=\"dispatched\"} 5",
-            "nfi_fleet_assignments_total{kind=\"completed\"} 4",
-            "nfi_fleet_assignments_total{kind=\"local_fallback\"} 0",
-            "nfi_cache_hits_total{cache=\"mutant\"}",
-            "nfi_cache_entries{cache=\"code\"}",
-        ] {
-            assert!(page.contains(needle), "missing {needle:?} in:\n{page}");
-        }
-    }
-
-    #[test]
-    fn latency_summary_captures_the_global_registry() {
-        // Record through the shared registry the way the serving path
-        // does, then check both renderers see it.
-        nfi_telemetry::registry()
-            .histogram(
-                nfi_telemetry::families::HTTP,
-                &[("route", "/test/latency_summary"), ("status", "2xx")],
-            )
-            .record_micros(500);
-        nfi_telemetry::registry()
-            .histogram(nfi_telemetry::families::PHASE, &[("phase", "test_phase")])
-            .record_micros(900);
-        let summary = LatencySummary::capture();
-        assert!(summary.http.count >= 1);
-        assert!(summary
-            .phases
-            .iter()
-            .any(|(name, h)| name == "test_phase" && h.count >= 1));
-        let page = RuntimeSnapshot::capture(
-            QueueStats::default(),
-            StoreTotals::default(),
-            JournalStats::default(),
-            EdgeStats::default(),
-            RetryStats::default(),
-            FleetStats::default(),
-        )
-        .render_prometheus();
-        nfi_telemetry::prom::check_conformance(&page).expect("captured page conforms");
-        assert!(page.contains("nfi_http_request_duration_seconds_bucket{route=\"/test/latency_summary\",status=\"2xx\",le="));
-        assert!(page.contains("nfi_phase_duration_seconds_count{phase=\"test_phase\"}"));
-    }
-
-    #[test]
-    fn capture_reads_the_global_caches() {
-        let snap = RuntimeSnapshot::capture(
-            QueueStats::default(),
-            StoreTotals::default(),
-            JournalStats::default(),
-            EdgeStats::default(),
-            RetryStats::default(),
-            FleetStats::default(),
-        );
-        assert_eq!(snap.queue, QueueStats::default());
+    fn latency_summary_merges_routes_and_keys_phases() {
+        let registry = nfi_telemetry::Registry::new();
+        registry
+            .histogram(families::HTTP, &[("route", "/a"), ("status", "2xx")])
+            .record_micros(100);
+        registry
+            .histogram(families::HTTP, &[("route", "/b"), ("status", "5xx")])
+            .record_micros(3_000);
+        registry
+            .histogram(families::QUEUE_WAIT, &[])
+            .record_micros(40);
+        registry
+            .histogram(families::PHASE, &[("phase", "execute")])
+            .record_micros(2_000_000);
+        let json = LatencySummary::from_series(&registry.snapshot()).render_json();
+        assert!(json.starts_with("{\"http\":{\"count\":2,"), "{json}");
+        assert!(json.contains("\"queue_wait\":{\"count\":1,"), "{json}");
         assert!(
-            snap.mutant_cache.capacity.is_some(),
-            "global cache is bounded"
+            json.contains("\"phases\":{\"execute\":{\"count\":1,"),
+            "{json}"
         );
+        assert!(json.contains("\"max_us\":3000}"), "{json}");
     }
 }

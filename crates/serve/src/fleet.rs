@@ -31,6 +31,9 @@
 //! * a worker silent past the heartbeat timeout is marked **lost**;
 //!   its leases requeue and the next poll from any live worker picks
 //!   them up;
+//! * a worker that polls while it still holds a lease abandoned that
+//!   lease (its result never arrived — `nfi worker` polls again after a
+//!   failed result POST), so the lease requeues on that poll;
 //! * an assignment requeued past its cap — or stranded with no live
 //!   workers at all — is executed **locally** by the blocked lane, so
 //!   every accepted job completes even if the whole fleet dies
@@ -44,12 +47,12 @@
 //!   traffic from its stale generation is refused (and counted), so a
 //!   zombie process cannot corrupt its successor's leases.
 //!
-//! Every protocol event is counted in [`FleetEvents`] and surfaces as
-//! the `fleet` section of `/v1/metrics` and the `nfi_fleet_*`
-//! Prometheus families.
+//! Every protocol event is counted in [`FleetEvents`] and surfaces,
+//! through the rows of [`crate::metrics::METRICS`], as the `fleet`
+//! section of `/v1/metrics` and the `nfi_fleet_*` Prometheus families.
 
 use nfi_core::service::{self, ShardRun};
-use nfi_core::{FleetStats, Orchestrator};
+use nfi_core::Orchestrator;
 use nfi_sfi::CampaignSpec;
 use nfi_telemetry::{log::log, trace, Level, Span, SpanRecord, Trace};
 use std::collections::{BTreeMap, HashMap};
@@ -81,7 +84,8 @@ pub struct FleetEvents {
     pub dispatched: AtomicU64,
     /// Assignments completed by a worker result.
     pub completed: AtomicU64,
-    /// Requeues (heartbeat loss, rejoin, error result, bad document).
+    /// Requeues (heartbeat loss, rejoin, abandoned lease, error result,
+    /// bad document).
     pub requeued: AtomicU64,
     /// Worker-reported execution failures and undecodable documents.
     pub failed: AtomicU64,
@@ -316,9 +320,12 @@ impl Fleet {
 
     /// Hands out the oldest pending assignment, if any.
     ///
-    /// Polling also counts as liveness. Assignments past the requeue
-    /// cap are never handed out — they belong to the dispatching
-    /// lane's local fallback.
+    /// Polling also counts as liveness, and requeues any lease the
+    /// worker still holds: a worker polls only once it is done with its
+    /// last lease, so such a lease was abandoned, and the liveness this
+    /// poll refreshes would otherwise keep it leased forever.
+    /// Assignments past the requeue cap are never handed out — they
+    /// belong to the dispatching lane's local fallback.
     ///
     /// # Errors
     ///
@@ -328,6 +335,9 @@ impl Fleet {
         self.reap(&mut inner);
         self.validate(&mut inner, worker, generation)?;
         self.events.polls.fetch_add(1, Ordering::Relaxed);
+        if self.requeue_leases_of(&mut inner, worker) {
+            self.changed.notify_all();
+        }
         let max_requeues = self.max_requeues;
         let lease = inner
             .assignments
@@ -434,27 +444,6 @@ impl Fleet {
         let mut inner = self.lock();
         self.reap(&mut inner);
         inner.workers.values().filter(|w| !w.lost).count()
-    }
-
-    /// A metrics snapshot (marks timed-out workers lost first, so the
-    /// gauge is current even on an idle daemon).
-    pub fn stats(&self) -> FleetStats {
-        let workers_live = self.live_workers() as u64;
-        let e = &self.events;
-        FleetStats {
-            workers_live,
-            workers_lost: e.workers_lost.load(Ordering::Relaxed),
-            registrations: e.registrations.load(Ordering::Relaxed),
-            heartbeats: e.heartbeats.load(Ordering::Relaxed),
-            polls: e.polls.load(Ordering::Relaxed),
-            assignments_dispatched: e.dispatched.load(Ordering::Relaxed),
-            assignments_completed: e.completed.load(Ordering::Relaxed),
-            assignments_requeued: e.requeued.load(Ordering::Relaxed),
-            assignments_failed: e.failed.load(Ordering::Relaxed),
-            duplicate_results: e.duplicate_results.load(Ordering::Relaxed),
-            stale_rejections: e.stale_rejections.load(Ordering::Relaxed),
-            local_fallbacks: e.local_fallbacks.load(Ordering::Relaxed),
-        }
     }
 
     /// Dispatches a job's miss set over the fleet and blocks until
@@ -617,7 +606,8 @@ impl Fleet {
 
     /// Marks silent workers lost and requeues expired leases. Called
     /// under the lock from every scan point, so liveness converges on
-    /// whichever of poll / stats / dispatch touches the fleet next.
+    /// whichever of poll / live-worker count / dispatch touches the
+    /// fleet next.
     fn reap(&self, inner: &mut FleetInner) {
         let now = Instant::now();
         let FleetInner {
@@ -650,15 +640,18 @@ impl Fleet {
     }
 
     /// Requeues every lease held by `worker` (any generation) — the
-    /// rejoin path.
-    fn requeue_leases_of(&self, inner: &mut FleetInner, worker: u64) {
+    /// rejoin and abandoned-lease paths. Returns whether any requeued.
+    fn requeue_leases_of(&self, inner: &mut FleetInner, worker: u64) -> bool {
+        let mut any = false;
         for a in inner.assignments.values_mut() {
             if matches!(&a.state, AssignState::Leased { worker: w, .. } if *w == worker) {
                 a.state = AssignState::Pending;
                 a.requeues += 1;
                 self.events.requeued.fetch_add(1, Ordering::Relaxed);
+                any = true;
             }
         }
+        any
     }
 
     /// Strict liveness check for heartbeat/poll: current generation,
@@ -856,8 +849,8 @@ def test_add():
         let merged = nfi_core::merge(&runs).unwrap();
         let direct = exec_spec(&spec, &orch.machine, orch.config).unwrap();
         assert_eq!(merged.encode(), direct.encode());
-        assert!(fleet.stats().assignments_dispatched >= 1);
-        assert_eq!(fleet.stats().local_fallbacks, 0);
+        assert!(fleet.events.dispatched.load(Ordering::Relaxed) >= 1);
+        assert_eq!(fleet.events.local_fallbacks.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -868,7 +861,7 @@ def test_add():
         let merged = nfi_core::merge(&runs).unwrap();
         let direct = exec_spec(&spec, &orch.machine, orch.config).unwrap();
         assert_eq!(merged.encode(), direct.encode());
-        assert!(fleet.stats().local_fallbacks >= 1);
+        assert!(fleet.events.local_fallbacks.load(Ordering::Relaxed) >= 1);
     }
 
     #[test]
@@ -906,8 +899,8 @@ def test_add():
             assert_eq!(a.state, AssignState::Pending, "lease requeued");
             assert_eq!(a.requeues, 1);
         }
-        assert_eq!(fleet.stats().workers_lost, 1);
-        assert_eq!(fleet.stats().assignments_requeued, 1);
+        assert_eq!(fleet.events.workers_lost.load(Ordering::Relaxed), 1);
+        assert_eq!(fleet.events.requeued.load(Ordering::Relaxed), 1);
         // The lost worker is fenced until it re-registers.
         assert_eq!(
             fleet.heartbeat(reg.worker, reg.generation),
@@ -973,7 +966,7 @@ def test_add():
             ),
             Ok(Completion::Duplicate)
         );
-        assert_eq!(fleet.stats().duplicate_results, 1);
+        assert_eq!(fleet.events.duplicate_results.load(Ordering::Relaxed), 1);
         let inner = fleet.lock();
         let stored = inner.assignments[&1].result.as_ref().unwrap();
         assert_eq!(stored.0, doc, "first result's bytes survive");
@@ -1024,7 +1017,7 @@ def test_add():
             ),
             Err(FleetError::Stale)
         );
-        assert!(fleet.stats().stale_rejections >= 3);
+        assert!(fleet.events.stale_rejections.load(Ordering::Relaxed) >= 3);
         // The new generation picks the requeued lease back up.
         let release = fleet.poll(new.worker, new.generation).unwrap().unwrap();
         assert_eq!(release.assignment, lease.assignment);
@@ -1038,8 +1031,11 @@ def test_add():
         let reg = fleet.register("w1", orch.machine.fingerprint()).unwrap();
         let runs = std::thread::scope(|scope| {
             let dispatch = scope.spawn(|| fleet.dispatch(&orch, 1, &spec, &all));
-            // Lease everything, then go silent: every assignment times
-            // out once, exceeding the cap, and the lane runs them all.
+            // Lease everything and never report: each poll abandons the
+            // lease the previous one handed out, that one requeue exceeds
+            // the cap, and the lane runs every assignment locally. (The
+            // polls keep the worker live; no heartbeat timeout is
+            // involved.)
             while !dispatch.is_finished() {
                 match fleet.poll(reg.worker, reg.generation) {
                     Ok(Some(_)) => {}
@@ -1052,8 +1048,40 @@ def test_add():
         let merged = nfi_core::merge(&runs).unwrap();
         let direct = exec_spec(&spec, &orch.machine, orch.config).unwrap();
         assert_eq!(merged.encode(), direct.encode());
-        assert!(fleet.stats().local_fallbacks >= 1);
-        assert!(fleet.stats().assignments_requeued >= 1);
+        assert!(fleet.events.local_fallbacks.load(Ordering::Relaxed) >= 1);
+        assert!(fleet.events.requeued.load(Ordering::Relaxed) >= 1);
+    }
+
+    #[test]
+    fn a_lease_abandoned_by_a_polling_worker_requeues_and_completes() {
+        let (orch, spec, all) = fixture("abandon");
+        let fleet = fleet_for(&orch, Duration::from_millis(500), 2);
+        let reg = fleet.register("w1", orch.machine.fingerprint()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let runs = std::thread::scope(|scope| {
+            let dispatch = scope.spawn(|| fleet.dispatch(&orch, 1, &spec, &all));
+            // Take a lease and drop it, as `nfi worker` does when its
+            // result POST fails, then serve the pool obediently.
+            while fleet.poll(reg.worker, reg.generation).unwrap().is_none() {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            drain_as_worker(&fleet, &orch, reg, || {
+                dispatch.is_finished() || Instant::now() > deadline
+            });
+            // Should the dropped lease never requeue, the worker goes
+            // silent at the deadline, and the heartbeat timeout ends the
+            // dispatch through the local fallback asserted against below.
+            dispatch.join().unwrap().unwrap()
+        });
+        assert_eq!(
+            fleet.events.local_fallbacks.load(Ordering::Relaxed),
+            0,
+            "the abandoned lease must requeue to the polling worker"
+        );
+        assert!(fleet.events.requeued.load(Ordering::Relaxed) >= 1);
+        let merged = nfi_core::merge(&runs).unwrap();
+        let direct = exec_spec(&spec, &orch.machine, orch.config).unwrap();
+        assert_eq!(merged.encode(), direct.encode());
     }
 
     #[test]

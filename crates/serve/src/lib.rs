@@ -64,7 +64,8 @@
 //! (token-bucket rate limiter), [`jobs`] (job table), [`queue`]
 //! (tenant-fair priority queue), [`journal`] (crash-safe job journal),
 //! [`worker`] (supervised process-level worker pool), [`fleet`]
-//! (remote-worker registry + assignment pool), [`client`] (test
+//! (remote-worker registry + assignment pool), [`metrics`] (the one
+//! table behind `/v1/metrics` and `/metrics`), [`client`] (test
 //! client).
 
 pub mod auth;
@@ -74,6 +75,7 @@ pub mod http;
 pub mod jobs;
 pub mod journal;
 pub mod limit;
+pub mod metrics;
 pub mod queue;
 pub mod router;
 pub mod worker;
@@ -82,10 +84,7 @@ use fleet::Fleet;
 use jobs::{JobStatus, JobTable, StartOutcome};
 use journal::{Journal, JournalOutcome};
 use limit::{Admission, RateLimiter};
-use nfi_core::{
-    DispatchTier, EdgeStats, IncrementalRun, JournalStats, Orchestrator, QueueStats, RetryStats,
-    RuntimeSnapshot, StoreTotals,
-};
+use nfi_core::{DispatchTier, IncrementalRun, Orchestrator};
 use nfi_sfi::CampaignSpec;
 use nfi_telemetry::{families, log::log, trace, Level, Span, SpanRecord, Trace, TraceId};
 use queue::{JobQueue, Priority, PushOutcome};
@@ -435,62 +434,19 @@ impl ServerState {
         self.journal.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The `GET /v1/metrics` document: process-wide cache counters plus
-    /// this daemon's queue gauges, store totals, journal counters, edge
-    /// rejections, worker-supervision events, and latency summaries.
+    /// The `GET /v1/metrics` document: every [`metrics::METRICS`] row
+    /// by section, plus the process-wide cache counters and latency
+    /// summaries.
     pub fn metrics_json(&self) -> String {
-        self.runtime_snapshot().render_json()
+        let histograms = nfi_telemetry::registry().snapshot();
+        metrics::render_json(self, &metrics::caches(), &histograms)
     }
 
-    /// The `GET /metrics` Prometheus text-format page — every counter
-    /// `/v1/metrics` carries, plus the latency histograms with full
-    /// bucket series.
+    /// The `GET /metrics` Prometheus text-format page — the same rows,
+    /// plus the latency histograms with full bucket series.
     pub fn metrics_prometheus(&self) -> String {
-        self.runtime_snapshot().render_prometheus()
-    }
-
-    fn runtime_snapshot(&self) -> RuntimeSnapshot {
-        let c = &self.counters;
-        let queue = QueueStats {
-            depth: self.queue.depth(),
-            lanes: self.config.lanes,
-            running: c.running.load(Ordering::Relaxed),
-            submitted: c.submitted.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
-            failed: c.failed.load(Ordering::Relaxed),
-        };
-        let store = StoreTotals {
-            units: c.units.load(Ordering::Relaxed),
-            replayed: c.replayed.load(Ordering::Relaxed),
-            executed: c.executed.load(Ordering::Relaxed),
-            anchor_hits: c.anchor_hits.load(Ordering::Relaxed),
-            anchor_misses: c.anchor_misses.load(Ordering::Relaxed),
-        };
-        let journal = {
-            let j = self.journal();
-            JournalStats {
-                appended: j.appended(),
-                recovered_queued: self.recovered.queued,
-                recovered_finished: self.recovered.finished,
-                corrupt_lines: self.recovered.corrupt,
-                compactions: j.compactions(),
-            }
-        };
-        let edge = EdgeStats {
-            unauthorized: c.unauthorized.load(Ordering::Relaxed),
-            rate_limited: c.rate_limited.load(Ordering::Relaxed),
-            queue_shed: c.queue_shed.load(Ordering::Relaxed),
-            connections_shed: c.connections_shed.load(Ordering::Relaxed),
-            timeouts: c.timeouts.load(Ordering::Relaxed),
-        };
-        let events = &self.pool.events;
-        let retry = RetryStats {
-            retries: events.retries.load(Ordering::Relaxed),
-            watchdog_kills: events.watchdog_kills.load(Ordering::Relaxed),
-            deadline_expiries: c.deadline_expiries.load(Ordering::Relaxed),
-            failed_units: events.failed_units.load(Ordering::Relaxed),
-        };
-        RuntimeSnapshot::capture(queue, store, journal, edge, retry, self.fleet.stats())
+        let histograms = nfi_telemetry::registry().snapshot();
+        metrics::render_prometheus(self, &metrics::caches(), &histograms)
     }
 
     /// The dispatch tier the next job would execute under: remote

@@ -47,9 +47,11 @@ fn render_labels_with_le(labels: &[(&str, &str)], le: &str) -> String {
 }
 
 /// A text-format document under construction. Each family is
-/// announced exactly once even when series arrive interleaved; a
-/// family re-announced with a different type is a caller bug and is
-/// rejected (`debug_assert`) rather than emitting a malformed page.
+/// announced once, before its first series; a family re-announced with
+/// a different type is a caller bug and is rejected (`debug_assert`)
+/// rather than emitting a malformed page. The format requires all
+/// lines of a family to form one group, so callers emit a family's
+/// series together — [`check_conformance`] rejects interleaved ones.
 #[derive(Debug, Default)]
 pub struct PromText {
     buf: String,
@@ -136,10 +138,23 @@ impl PromText {
 /// A minimal conformance check over a rendered page, shared by the
 /// exposition tests in every crate that renders `/metrics`: HELP/TYPE
 /// announced exactly once per family, every sample's family announced
-/// before use, and histogram `_bucket` series cumulative, ending in
-/// `+Inf`, and consistent with `_count`.
+/// before use, each family's lines in one group, and histogram
+/// `_bucket` series cumulative, ending in `+Inf`, and consistent with
+/// `_count`.
 pub fn check_conformance(page: &str) -> Result<(), String> {
     use std::collections::BTreeSet;
+    // Families whose group has started, and the one being read.
+    let mut grouped = BTreeSet::new();
+    let mut current = String::new();
+    let mut group = |fam: &str| {
+        if fam != current {
+            if !grouped.insert(fam.to_string()) {
+                return Err(format!("family {fam} is split into more than one group"));
+            }
+            current = fam.to_string();
+        }
+        Ok(())
+    };
     let mut helped = BTreeSet::new();
     let mut typed = BTreeMap::new();
     let mut bucket_last: BTreeMap<String, (u64, bool)> = BTreeMap::new(); // series -> (cumulative, saw +Inf)
@@ -147,6 +162,7 @@ pub fn check_conformance(page: &str) -> Result<(), String> {
     for line in page.lines() {
         if let Some(rest) = line.strip_prefix("# HELP ") {
             let fam = rest.split(' ').next().unwrap_or("");
+            group(fam)?;
             if !helped.insert(fam.to_string()) {
                 return Err(format!("duplicate HELP for {fam}"));
             }
@@ -154,6 +170,7 @@ pub fn check_conformance(page: &str) -> Result<(), String> {
             let mut it = rest.split(' ');
             let fam = it.next().unwrap_or("").to_string();
             let kind = it.next().unwrap_or("").to_string();
+            group(&fam)?;
             if typed.insert(fam.clone(), kind).is_some() {
                 return Err(format!("duplicate TYPE for {fam}"));
             }
@@ -172,6 +189,7 @@ pub fn check_conformance(page: &str) -> Result<(), String> {
             if !typed.contains_key(fam) {
                 return Err(format!("sample for unannounced family: {line}"));
             }
+            group(fam)?;
             let value: f64 = line
                 .rsplit(' ')
                 .next()
@@ -288,5 +306,19 @@ mod tests {
             "# HELP h x\n# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 3\n"
         )
         .is_err());
+    }
+
+    #[test]
+    fn conformance_rejects_interleaved_families() {
+        let mut p = PromText::new();
+        for cache in ["mutant", "code"] {
+            p.counter("nfi_hits_total", "Hits.", &[("cache", cache)], 1);
+            p.gauge("nfi_entries", "Entries.", &[("cache", cache)], 2.0);
+        }
+        let err = check_conformance(&p.finish()).unwrap_err();
+        assert!(err.contains("nfi_hits_total is split"), "{err}");
+        let grouped = "# HELP a x\n# TYPE a counter\na{k=\"1\"} 1\na{k=\"2\"} 2\n\
+                       # HELP b x\n# TYPE b gauge\nb 3\n";
+        check_conformance(grouped).unwrap();
     }
 }
