@@ -4,7 +4,7 @@
 //! run of each test against the pristine run — the "observing their
 //! behavior" half of software fault injection (§II).
 
-use nfi_pylite::{HangKind, RunOutcome, RunStatus};
+use nfi_pylite::{RunOutcome, RunStatus};
 use std::fmt;
 
 /// How a fault manifested under a test; [`FailureMode::severity`] gives
@@ -78,8 +78,7 @@ impl fmt::Display for FailureMode {
 /// (mechanism over symptom), while a crash outranks an incidental race.
 pub fn classify(faulty: &RunOutcome, pristine: &RunOutcome) -> FailureMode {
     // Hangs dominate: nothing else is observable.
-    if let RunStatus::Hung(kind) = &faulty.status {
-        let _ = matches!(kind, HangKind::Deadlock);
+    if let RunStatus::Hung(_) = &faulty.status {
         return FailureMode::Hang;
     }
     let mut modes = Vec::new();

@@ -271,11 +271,14 @@ pub(crate) fn call(m: &mut Machine, tid: TaskId, name: &str, args: Vec<Value>) -
             if secs < 0.0 {
                 return raise("ValueError", "sleep() duration must be non-negative");
             }
-            BuiltinFlow::Block(Wait::Sleep {
-                wake_at: m.clock + secs,
-            })
+            let wake_at = m.clock + secs;
+            m.note_sleep(secs, wake_at);
+            BuiltinFlow::Block(Wait::Sleep { wake_at })
         }
-        "now" => BuiltinFlow::Value(Value::Float(m.clock)),
+        "now" => {
+            m.note_effect();
+            BuiltinFlow::Value(Value::Float(m.clock))
+        }
         "spawn" => {
             let mut args = args;
             if args.is_empty() {
@@ -314,6 +317,7 @@ pub(crate) fn call(m: &mut Machine, tid: TaskId, name: &str, args: Vec<Value>) -
                 [Value::Str(s)] => s.to_string(),
                 _ => return raise("TypeError", "open_handle() expects a name string"),
             };
+            m.note_effect();
             let id = m.next_handle;
             m.next_handle += 1;
             let h = Rc::new(HandleObj {
@@ -342,12 +346,14 @@ pub(crate) fn call(m: &mut Machine, tid: TaskId, name: &str, args: Vec<Value>) -
         }
         "rand_int" => match args.as_slice() {
             [Value::Int(lo), Value::Int(hi)] if lo < hi => {
+                m.note_effect();
                 let v = m.rng.gen_range(*lo..*hi);
                 BuiltinFlow::Value(Value::Int(v))
             }
             _ => raise("ValueError", "rand_int(lo, hi) requires lo < hi"),
         },
         "rand_float" => {
+            m.note_effect();
             let v: f64 = m.rng.gen();
             BuiltinFlow::Value(Value::Float(v))
         }

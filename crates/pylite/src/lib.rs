@@ -22,7 +22,19 @@
 //! * an Eraser-style lockset **data-race detector**,
 //! * **resource-leak** tracking (`open_handle` without `close`),
 //! * **bounded buffers** whose overflows are detected and reported,
-//! * a step budget plus deadlock detection for **hang** classification.
+//! * a step budget plus deadlock detection for **hang** classification,
+//!   with a proof of non-termination that ends a run early when its
+//!   state recurs exactly: the heap is compared up to aliasing, and the
+//!   stretch between the two states must have had one runnable task per
+//!   scheduling decision, at most one sleeper, and no `now()`, RNG draw,
+//!   `print`, `spawn`, `open_handle`, `lock()` or new detector report.
+//!   Spins with several runnable tasks or sleepers are proven by a memo
+//!   of scheduler moves between states: once every state it has seen has
+//!   a move for each possible pick, it replays the rest of the run with
+//!   the scheduler's own RNG and the actual deadlines. Loops that read
+//!   `now()` (a token bucket's drain loop, say), loops whose state grows,
+//!   and sleepers whose wake order drifts stay unproven and run to the
+//!   budget. See [`machine`](machine#hang-proofs).
 //!
 //! ## Quick start
 //!

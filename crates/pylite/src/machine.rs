@@ -4,7 +4,10 @@
 //! The machine is the *observability substrate* for fault injection:
 //! besides executing bytecode it detects and reports
 //!
-//! * **hangs** — a global step budget plus deadlock detection,
+//! * **hangs** — a global step budget, deadlock detection, and a proof
+//!   of non-termination by exact state recurrence that ends a provably
+//!   repeating run at the proof instead of at the budget (see
+//!   [Hang proofs](#hang-proofs)),
 //! * **data races** — an Eraser-style lockset algorithm over shared
 //!   globals and shared containers,
 //! * **resource leaks** — handles opened via `open_handle` and never
@@ -18,6 +21,28 @@
 //! are preempted every [`MachineConfig::quantum`] instructions and the
 //! next runnable task is chosen by a seeded RNG, so interleavings are
 //! reproducible and explorable by sweeping seeds.
+//!
+//! # Hang proofs
+//!
+//! Once a run has executed a few thousand steps, the scheduler
+//! snapshots its state at power-of-two decision counts and checks later
+//! decisions against the snapshot. When the state recurs exactly — up
+//! to heap aliasing, with a sleeper's deadline compared by whether it
+//! is due, since the absolute clock is not part of the state — and
+//! every decision in between had one runnable task, at most one
+//! sleeper, and no call to `now()`, `rand_int`/`rand_float`, `print`,
+//! `spawn`, `open_handle` or `lock()` and no new race, overflow, leak or
+//! task failure, the run would repeat until the budget. It ends there
+//! as `Hung(StepBudget)` with the budget run's outcome in every field
+//! but [`RunOutcome::steps`]. Spins with several runnable tasks or
+//! sleepers are proven by a memo of scheduler moves between states,
+//! which, once every state it has seen has a move for each possible
+//! pick, replays the rest of the run with a clone of the scheduler's
+//! RNG and the actual deadlines. Loops that read `now()` (such as a
+//! token bucket's drain loop), loops whose state grows, and sleepers
+//! whose wake order drifts stay unproven and run to the budget. The
+//! proof is always on; it is not a configuration, so it changes no
+//! [`MachineConfig`].
 
 use crate::ast::Module;
 use crate::builtins;
@@ -31,6 +56,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
+
+mod hangproof;
+pub use hangproof::shadow;
 
 /// Configuration for a [`Machine`].
 #[derive(Debug, Clone)]
@@ -143,9 +171,12 @@ pub struct RunOutcome {
     /// Uncaught exceptions in *spawned* tasks (main-task escapes are in
     /// `status`).
     pub task_failures: Vec<ExcInfo>,
-    /// Instructions executed.
+    /// Instructions executed. For a proven hang, the steps up to the
+    /// point of proof, not the budget.
     pub steps: u64,
-    /// Virtual seconds elapsed.
+    /// Virtual seconds elapsed. For a proven hang, the value the budget
+    /// run would have reached: the proof replays the clock arithmetic
+    /// up to the budget.
     pub vtime: f64,
     /// Value returned by the entry function (for `call`).
     pub return_value: Option<Value>,
@@ -359,6 +390,12 @@ pub struct Machine {
     /// Scratch buffer reused by `schedule()` for the per-quantum
     /// runnable-task collection (avoids a fresh `Vec` every quantum).
     runnable: Vec<TaskId>,
+    /// Count of events that make a stretch of the run unprovable as a
+    /// hang (clock reads, RNG draws, output, spawns, new handles and
+    /// locks, detector reports, address-keyed race bookkeeping).
+    effects: u64,
+    /// The hang-proof probe's per-run state.
+    probe: hangproof::HangProbe,
 }
 
 impl Machine {
@@ -387,6 +424,8 @@ impl Machine {
             current_line: None,
             spawned_failures: Vec::new(),
             runnable: Vec::new(),
+            effects: 0,
+            probe: hangproof::HangProbe::default(),
         }
     }
 
@@ -567,10 +606,9 @@ impl Machine {
         self.obj_names.clear();
         self.output.clear();
         self.spawned_failures.clear();
-        let start_steps = self.steps;
         let start_clock = self.clock;
         self.steps = 0;
-        let _ = start_steps;
+        self.probe.start(start_clock);
         self.tasks.push(Task {
             id: 0,
             frames,
@@ -584,21 +622,10 @@ impl Machine {
         let status = self.schedule();
 
         // Leak detection: handles opened during this run and still open.
-        let leaks: Vec<LeakReport> = self
-            .handles
-            .drain(..)
-            .filter(|h| !h.closed.get())
-            .map(|h| LeakReport {
-                name: h.name.clone(),
-            })
-            .collect();
+        let leaks = open_leaks(&self.handles);
+        self.handles.clear();
 
-        let return_value = match &self.tasks.first().map(|t| &t.status) {
-            Some(TaskStatus::Done(Ok(v))) => Some(v.clone()),
-            _ => None,
-        };
-
-        RunOutcome {
+        let outcome = RunOutcome {
             status,
             output: std::mem::take(&mut self.output),
             races: std::mem::take(&mut self.races),
@@ -607,8 +634,10 @@ impl Machine {
             task_failures: std::mem::take(&mut self.spawned_failures),
             steps: self.steps,
             vtime: self.clock - start_clock,
-            return_value,
-        }
+            return_value: main_return(&self.tasks),
+        };
+        self.probe.finish(&outcome);
+        outcome
     }
 
     // ---- scheduler --------------------------------------------------------
@@ -647,12 +676,19 @@ impl Machine {
                     .fold(f64::INFINITY, f64::min);
                 if min_wake.is_finite() {
                     self.clock = min_wake;
+                    self.note_wake();
                     continue;
                 }
                 self.fail_unfinished_tasks();
                 break RunStatus::Hung(HangKind::Deadlock);
             }
-            let pick = runnable[self.rng.gen_range(0..runnable.len())];
+            if self.steps >= hangproof::START_STEPS && self.hang_proven(runnable.len()) {
+                self.fail_unfinished_tasks();
+                break RunStatus::Hung(HangKind::StepBudget);
+            }
+            let index = self.rng.gen_range(0..runnable.len());
+            let pick = runnable[index];
+            self.probe.note_pick(index, pick);
             self.wake(pick);
             // Check the task out once per quantum, not once per step:
             // `step_inner` needs it outside `self.tasks` anyway (its
@@ -690,22 +726,7 @@ impl Machine {
 
     fn main_status(&mut self) -> RunStatus {
         // Collect failures in spawned tasks first.
-        for t in &self.tasks {
-            if t.id == 0 {
-                continue;
-            }
-            if let TaskStatus::Done(Err(exc)) = &t.status {
-                let info = ExcInfo {
-                    kind: exc.kind.clone(),
-                    message: exc.message.clone(),
-                    line: t.failure_line,
-                    task: t.id,
-                };
-                if !self.spawned_failures.contains(&info) {
-                    self.spawned_failures.push(info);
-                }
-            }
-        }
+        collect_failures(&self.tasks, &mut self.spawned_failures);
         match &self.tasks[0].status {
             TaskStatus::Done(Ok(_)) => RunStatus::Completed,
             TaskStatus::Done(Err(exc)) => RunStatus::Uncaught(ExcInfo {
@@ -807,6 +828,9 @@ impl Machine {
         let Some(addr) = container_addr(value) else {
             return;
         };
+        // Address keys can outlive their objects, so the hang proof
+        // treats any bookkeeping on them as an effect.
+        self.note_effect();
         self.record_access(AccessKey::Object(addr), tid, is_write, value.type_name());
     }
 
@@ -899,6 +923,7 @@ impl Machine {
                 second_task: tid,
                 line,
             });
+            self.note_effect();
         }
     }
 
@@ -921,10 +946,12 @@ impl Machine {
         });
         self.task_locks.push(BTreeSet::new());
         self.task_spawn_step.push(self.steps);
+        self.note_effect();
         Ok(id)
     }
 
     pub(crate) fn new_lock(&mut self) -> LockId {
+        self.note_effect();
         self.locks.push(LockState::default());
         self.locks.len() - 1
     }
@@ -964,6 +991,7 @@ impl Machine {
     }
 
     pub(crate) fn print_line(&mut self, line: &str) {
+        self.note_effect();
         if self.output.len() < self.config.max_output {
             self.output.push_str(line);
             self.output.push('\n');
@@ -971,6 +999,7 @@ impl Machine {
     }
 
     pub(crate) fn note_overflow(&mut self, index: i64, capacity: usize) {
+        self.note_effect();
         let line = self.current_line;
         self.overflows.push(OverflowReport {
             index,
@@ -1471,6 +1500,42 @@ impl Machine {
                 StepFlow::Normal
             }
         }
+    }
+}
+
+/// Records each spawned task that died of an exception (once).
+fn collect_failures(tasks: &[Task], into: &mut Vec<ExcInfo>) {
+    for t in tasks.iter().filter(|t| t.id != 0) {
+        if let TaskStatus::Done(Err(exc)) = &t.status {
+            let info = ExcInfo {
+                kind: exc.kind.clone(),
+                message: exc.message.clone(),
+                line: t.failure_line,
+                task: t.id,
+            };
+            if !into.contains(&info) {
+                into.push(info);
+            }
+        }
+    }
+}
+
+/// Handles still open, as leak reports.
+fn open_leaks(handles: &[Rc<HandleObj>]) -> Vec<LeakReport> {
+    handles
+        .iter()
+        .filter(|h| !h.closed.get())
+        .map(|h| LeakReport {
+            name: h.name.clone(),
+        })
+        .collect()
+}
+
+/// The main task's return value, once it has returned.
+fn main_return(tasks: &[Task]) -> Option<Value> {
+    match tasks.first().map(|t| &t.status) {
+        Some(TaskStatus::Done(Ok(v))) => Some(v.clone()),
+        _ => None,
     }
 }
 

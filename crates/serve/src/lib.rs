@@ -88,6 +88,7 @@ use nfi_core::{DispatchTier, IncrementalRun, Orchestrator};
 use nfi_sfi::CampaignSpec;
 use nfi_telemetry::{families, log::log, trace, Level, Span, SpanRecord, Trace, TraceId};
 use queue::{JobQueue, Priority, PushOutcome};
+use std::collections::HashMap;
 use std::io::{BufReader, Read};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -239,12 +240,17 @@ pub struct ServerState {
     recovered: Recovered,
     counters: Counters,
     shutdown: AtomicBool,
-    /// Exclusive `flock` on `<state_dir>/serve.lock`, held for the
-    /// daemon's lifetime (kernel-released on death). The journal and
-    /// the worker exchange dir are daemon-owned, so one state dir
-    /// belongs to at most one daemon at a time; offline `campaign
-    /// run`s still share the dir through the segment locks.
-    _daemon_lock: std::fs::File,
+    /// Exclusive `flock` on `<state_dir>/serve.lock`, held until
+    /// [`ServeHandle::stop`] releases it (or the kernel does, on
+    /// death). The journal and the worker exchange dir are
+    /// daemon-owned, so one state dir belongs to at most one daemon at
+    /// a time; offline `campaign run`s still share the dir through the
+    /// segment locks.
+    daemon_lock: Mutex<Option<std::fs::File>>,
+    /// Sockets of live connections by id, so a stop can close idle
+    /// keep-alive connections instead of waiting out their timeout.
+    live: Mutex<HashMap<u64, TcpStream>>,
+    next_connection: AtomicU64,
 }
 
 impl ServerState {
@@ -434,6 +440,10 @@ impl ServerState {
         self.journal.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    fn live(&self) -> std::sync::MutexGuard<'_, HashMap<u64, TcpStream>> {
+        self.live.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// The `GET /v1/metrics` document: every [`metrics::METRICS`] row
     /// by section, plus the process-wide cache counters and latency
     /// summaries.
@@ -548,7 +558,9 @@ impl Server {
             },
             counters: Counters::default(),
             shutdown: AtomicBool::new(false),
-            _daemon_lock: daemon_lock,
+            daemon_lock: Mutex::new(Some(daemon_lock)),
+            live: Mutex::new(HashMap::new()),
+            next_connection: AtomicU64::new(0),
         };
         let mut state = state;
         for job in replay.jobs {
@@ -655,13 +667,21 @@ impl Server {
                 state.counters.connections.fetch_sub(1, Ordering::SeqCst);
                 continue;
             }
+            // Registered before the thread starts, so a stop that joins
+            // this loop sees every connection it accepted.
+            let id = state.next_connection.fetch_add(1, Ordering::Relaxed);
+            if let Ok(socket) = stream.try_clone() {
+                state.live().insert(id, socket);
+            }
             let spawned = std::thread::Builder::new()
                 .name("nfi-serve-conn".into())
                 .spawn(move || {
                     handle_connection(&state, stream);
+                    state.live().remove(&id);
                     state.counters.connections.fetch_sub(1, Ordering::SeqCst);
                 });
             if spawned.is_err() {
+                self.state.live().remove(&id);
                 self.state
                     .counters
                     .connections
@@ -712,29 +732,44 @@ impl ServeHandle {
     }
 
     /// Stops the daemon: the queue drains its accepted jobs across the
-    /// lanes, the accept loop is woken and exits, and the serving
-    /// thread is joined.
+    /// lanes, the accept loop is woken and exits, the serving thread is
+    /// joined, open connections are closed and their threads finish,
+    /// and `serve.lock` is released — so a new daemon can bind the same
+    /// state dir as soon as this returns.
     pub fn stop(mut self) {
         self.shutdown();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
     }
 
-    fn shutdown(&self) {
+    fn shutdown(&mut self) {
+        let Some(thread) = self.thread.take() else {
+            return;
+        };
         self.state.shutdown.store(true, Ordering::SeqCst);
         self.state.queue.shutdown();
         // Wake the blocking accept call.
         let _ = TcpStream::connect(self.addr);
+        let _ = thread.join();
+        // Connection threads hold the state (and so the lock file) until
+        // they exit; an idle keep-alive one would wait out its read
+        // deadline. Close every socket, wait for the threads, then
+        // release the lock.
+        for socket in self.state.live().values() {
+            let _ = socket.shutdown(std::net::Shutdown::Both);
+        }
+        while self.state.counters.connections.load(Ordering::SeqCst) > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        self.state
+            .daemon_lock
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take();
     }
 }
 
 impl Drop for ServeHandle {
     fn drop(&mut self) {
         self.shutdown();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
     }
 }
 

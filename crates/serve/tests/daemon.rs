@@ -665,6 +665,31 @@ fn second_daemon_on_the_same_state_dir_is_refused_at_bind() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn stop_releases_the_state_dir_while_a_keep_alive_connection_is_open() {
+    let (handle, dir) = start("stop-keepalive");
+    // An idle keep-alive connection: its handler thread waits on the
+    // next request, holding the daemon's state.
+    let mut client = Client::connect(handle.addr).unwrap();
+    let reply = client.send("GET", "/healthz", None).unwrap();
+    assert_eq!(reply.header("connection"), Some("keep-alive"));
+    handle.stop();
+    let again = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            mode: WorkerMode::InProcess,
+            ..ServeConfig::new(&dir)
+        },
+    );
+    assert!(again.is_ok(), "{:?}", again.err());
+    assert!(
+        client.send("GET", "/healthz", None).is_err(),
+        "stop closed it"
+    );
+    drop(again);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Polls a job as a tenant until done/failed.
 fn await_job_as(addr: SocketAddr, token: &str, id: u64) -> String {
     let deadline = Instant::now() + Duration::from_secs(120);

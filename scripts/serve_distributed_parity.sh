@@ -108,6 +108,15 @@ for p in "${PROGRAMS[@]}"; do
   fi
 done
 
+# The daemon marks a worker lost once its heartbeat is 1.5 s overdue;
+# the corpus can finish sooner than that, so give the timeout time to
+# expire before reading the counters.
+echo "== wait for the killed worker's heartbeat timeout =="
+for _ in $(seq 1 50); do
+  [ "$(json_field "$(req GET /v1/metrics)" workers_live)" = 2 ] && break
+  sleep 0.1
+done
+
 echo "== fleet counters =="
 metrics=$(req GET /v1/metrics)
 echo "metrics: $metrics"
