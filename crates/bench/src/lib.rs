@@ -3,17 +3,17 @@
 //! The paper is a vision paper with no quantitative tables; DESIGN.md §3
 //! derives the experiment suite (E1–E8) its §IV/§V commit to. This crate
 //! hosts the *drivers* that regenerate each experiment's table/series:
-//! criterion bench targets print the tables and measure the core
-//! operations; the workspace integration tests assert the qualitative
-//! shapes on smaller configurations.
+//! `nfi experiments` prints the tables, the workspace integration tests
+//! assert the qualitative shapes on smaller configurations, and
+//! [`scenarios`] supplies the fault scenarios the drivers and the
+//! repository benchmark (`perfbench/`) share.
 
 pub mod experiments;
 pub mod scenarios;
-pub mod throughput;
 
 pub use scenarios::{build_scenarios, Scenario};
 
-/// Renders an ASCII table (used by bench binaries to print each
+/// Renders an ASCII table (used by `nfi experiments` to print each
 /// experiment's rows the way the paper would report them).
 pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();

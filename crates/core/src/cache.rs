@@ -3,8 +3,8 @@
 //! Applying a fault plan is deterministic: the same operator at the
 //! same site of the same module always yields the same mutant. Yet the
 //! seed-state drivers re-applied identical mutants from scratch on
-//! every run — each E-driver rerun, each sequential-vs-parallel bench
-//! pair, each shard re-patching what a sibling already patched.
+//! every run — each E-driver rerun, each shard re-patching what a
+//! sibling already patched.
 //!
 //! [`MutantCache`] memoizes [`nfi_sfi::apply_plan`] behind
 //! `Arc<InjectedFault>` keyed by **(module fingerprint, plan hash)**:

@@ -1,9 +1,9 @@
-//! The parallel campaign execution engine.
+//! The parallel execution engine.
 //!
 //! Fault-injection campaigns are embarrassingly parallel — every plan
-//! application and every harness run is independent — yet the original
-//! drivers executed them serially. This module fans that work across a
-//! rayon work-stealing pool while keeping one hard guarantee:
+//! application and every harness run is independent. This module fans
+//! that work across a rayon work-stealing pool while keeping one hard
+//! guarantee:
 //!
 //! > **Results are bitwise identical for every thread count.**
 //!
@@ -14,18 +14,21 @@
 //! 2. outputs are collected in input order (the pool reorders execution,
 //!    not results),
 //! 3. aggregation folds over that ordered collection with commutative
-//!    counters ([`CampaignRunReport`] uses `BTreeMap` counts), so the
-//!    reduction is order-independent anyway.
+//!    counters ([`crate::service::StringReport`] uses `BTreeMap`
+//!    counts), so the reduction is order-independent anyway.
 //!
-//! `threads = 1` therefore reproduces the sequential behaviour exactly,
-//! and `threads = N` reproduces `threads = 1`. The parity suite in
+//! Campaigns run through [`crate::service::exec_units`], which maps
+//! [`execute_plan`] over a spec's units with [`par_map`]; the E1–E8
+//! drivers call [`par_map`] directly. `threads = 1` therefore
+//! reproduces the sequential behaviour exactly, and `threads = N`
+//! reproduces `threads = 1`. The parity suite in
 //! `tests/parallel_parity.rs` enforces this.
 
 use crate::cache::MutantCache;
 use nfi_inject::memo::ExperimentCache;
 use nfi_inject::{run_experiment, FailureMode};
-use nfi_pylite::{fingerprint, MachineConfig, Module};
-use nfi_sfi::{apply_plan, Campaign, FaultPlan, Shard};
+use nfi_pylite::{MachineConfig, Module};
+use nfi_sfi::{apply_plan, FaultPlan, Shard};
 use rayon::prelude::*;
 use rayon::{ThreadPool, ThreadPoolBuilder};
 use std::collections::BTreeMap;
@@ -152,61 +155,6 @@ pub struct PlanOutcome {
     pub mode: Option<FailureMode>,
 }
 
-/// Order-independent aggregate of a campaign run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CampaignRunReport {
-    /// Plans executed.
-    pub total: usize,
-    /// Plans that still applied.
-    pub applied: usize,
-    /// Applied plans with observable effect.
-    pub activated: usize,
-    /// Applied plans the suite detected.
-    pub detected: usize,
-    /// Applied plans per fault-class key.
-    pub per_class: BTreeMap<&'static str, usize>,
-    /// Applied plans per operator mnemonic.
-    pub per_operator: BTreeMap<&'static str, usize>,
-    /// Failure-mode frequency (by mode key).
-    pub modes: BTreeMap<String, usize>,
-}
-
-impl CampaignRunReport {
-    /// Folds one outcome into the aggregate (commutative counters, so
-    /// fold order cannot change the result).
-    fn absorb(&mut self, outcome: &PlanOutcome) {
-        self.total += 1;
-        if !outcome.applied {
-            return;
-        }
-        self.applied += 1;
-        if outcome.activated {
-            self.activated += 1;
-        }
-        if outcome.detected {
-            self.detected += 1;
-        }
-        *self.per_class.entry(outcome.class).or_insert(0) += 1;
-        *self.per_operator.entry(outcome.operator).or_insert(0) += 1;
-        if let Some(mode) = &outcome.mode {
-            *self.modes.entry(mode.key().to_string()).or_insert(0) += 1;
-        }
-    }
-}
-
-/// Full result of [`run_campaign`]: ordered per-plan outcomes plus the
-/// aggregate report.
-#[derive(Debug, Clone)]
-pub struct CampaignRun {
-    /// Global plan index of each outcome (contiguous for a full run,
-    /// strided for a shard — the merge key of the campaign service).
-    pub indices: Vec<usize>,
-    /// One outcome per executed plan, in plan-index order.
-    pub outcomes: Vec<PlanOutcome>,
-    /// The aggregate.
-    pub report: CampaignRunReport,
-}
-
 /// Applies one plan to a module and runs the differential experiment,
 /// optionally through the process-wide mutant and experiment caches.
 /// This is the engine's unit of work: outcomes depend only on
@@ -254,93 +202,9 @@ pub fn execute_plan(
     }
 }
 
-/// Shared core of the campaign runners: executes `(index, plan)` pairs
-/// across the worker pool and folds the aggregate.
-fn run_worklist(
-    module: &Module,
-    worklist: &[(usize, &FaultPlan)],
-    machine: &MachineConfig,
-    config: ExecConfig,
-) -> CampaignRun {
-    let module_fp = fingerprint(module);
-    let outcomes = par_map(config, worklist, |(_, plan)| {
-        execute_plan(module, module_fp, plan, machine, config.use_cache)
-    });
-    let mut report = CampaignRunReport::default();
-    for outcome in &outcomes {
-        report.absorb(outcome);
-    }
-    CampaignRun {
-        indices: worklist.iter().map(|(i, _)| *i).collect(),
-        outcomes,
-        report,
-    }
-}
-
-/// Applies every given plan of a campaign and runs the differential test
-/// harness on each mutant, fanned across the configured worker pool.
-///
-/// The module is shared by `Arc` — workers never clone the AST — and
-/// each plan's machine is constructed fresh from `machine`, so outcomes
-/// depend only on (module, plan, machine config) and are identical for
-/// every thread count. `config.shard` restricts execution to the
-/// strided subset of plan indices; `config.use_cache` routes mutants
-/// and experiments through the content-addressed caches.
-pub fn run_campaign_plans(
-    campaign: &Campaign,
-    plans: &[FaultPlan],
-    machine: &MachineConfig,
-    config: ExecConfig,
-) -> CampaignRun {
-    let module = campaign.module_arc();
-    let worklist: Vec<(usize, &FaultPlan)> = plans
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| config.shard.covers(*i))
-        .collect();
-    run_worklist(&module, &worklist, machine, config)
-}
-
-/// [`run_campaign_plans`] addressing plans by index into the campaign's
-/// enumeration — the zero-clone path for sampled subsets
-/// ([`Campaign::sample_indices`]) and plan-IR shards.
-pub fn run_campaign_indices(
-    campaign: &Campaign,
-    indices: &[usize],
-    machine: &MachineConfig,
-    config: ExecConfig,
-) -> CampaignRun {
-    let module = campaign.module_arc();
-    let plans = campaign.plans();
-    let worklist: Vec<(usize, &FaultPlan)> = indices
-        .iter()
-        .filter(|&&i| config.shard.covers(i))
-        .map(|&i| (i, &plans[i]))
-        .collect();
-    run_worklist(&module, &worklist, machine, config)
-}
-
-/// [`run_campaign_plans`] over a campaign's full enumeration.
-pub fn run_campaign(
-    campaign: &Campaign,
-    machine: &MachineConfig,
-    config: ExecConfig,
-) -> CampaignRun {
-    run_campaign_plans(campaign, campaign.plans(), machine, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nfi_pylite::parse;
-
-    fn campaign() -> Campaign {
-        let module = parse(
-            "m = lock()\ntotal = 0\ndef add(v):\n    global total\n    m.acquire()\n    total = total + v\n    m.release()\n    return total\ndef test_add():\n    assert add(1) == 1\n",
-        )
-        .unwrap();
-        Campaign::full(&module)
-    }
 
     #[test]
     fn default_config_uses_available_parallelism() {
@@ -363,69 +227,5 @@ mod tests {
         let seq = par_map_indexed(ExecConfig::sequential(), 50, |i| i * i);
         let par = par_map_indexed(ExecConfig::with_threads(4), 50, |i| i * i);
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn campaign_run_aggregates_consistently() {
-        let c = campaign();
-        let run = run_campaign(&c, &MachineConfig::default(), ExecConfig::sequential());
-        assert_eq!(run.report.total, c.plans().len());
-        assert_eq!(run.outcomes.len(), c.plans().len());
-        assert!(run.report.applied > 0);
-        let by_class: usize = run.report.per_class.values().sum();
-        assert_eq!(by_class, run.report.applied);
-    }
-
-    #[test]
-    fn campaign_run_is_thread_count_invariant() {
-        let c = campaign();
-        let machine = MachineConfig::default();
-        let seq = run_campaign(&c, &machine, ExecConfig::sequential());
-        let par = run_campaign(&c, &machine, ExecConfig::with_threads(8));
-        assert_eq!(seq.outcomes, par.outcomes);
-        assert_eq!(seq.report, par.report);
-    }
-
-    #[test]
-    fn cached_and_uncached_runs_are_identical() {
-        let c = campaign();
-        let machine = MachineConfig::default();
-        let cold = run_campaign(&c, &machine, ExecConfig::sequential().cached(false));
-        let warm = run_campaign(&c, &machine, ExecConfig::sequential().cached(true));
-        let replay = run_campaign(&c, &machine, ExecConfig::sequential().cached(true));
-        assert_eq!(cold.outcomes, warm.outcomes);
-        assert_eq!(warm.outcomes, replay.outcomes);
-        assert_eq!(cold.report, replay.report);
-    }
-
-    #[test]
-    fn sharded_runs_partition_the_full_run() {
-        let c = campaign();
-        let machine = MachineConfig::default();
-        let full = run_campaign(&c, &machine, ExecConfig::sequential());
-        assert_eq!(full.indices, (0..c.plans().len()).collect::<Vec<_>>());
-        let mut merged: Vec<(usize, PlanOutcome)> = Vec::new();
-        for index in 0..3 {
-            let config = ExecConfig::sequential().sharded(Shard { index, count: 3 });
-            let run = run_campaign(&c, &machine, config);
-            assert_eq!(run.indices.len(), run.outcomes.len());
-            merged.extend(run.indices.into_iter().zip(run.outcomes));
-        }
-        merged.sort_by_key(|(i, _)| *i);
-        let outcomes: Vec<PlanOutcome> = merged.into_iter().map(|(_, o)| o).collect();
-        assert_eq!(outcomes, full.outcomes, "3-way shard union != full run");
-    }
-
-    #[test]
-    fn indexed_execution_matches_plan_execution() {
-        let c = campaign();
-        let machine = MachineConfig::default();
-        let indices = c.sample_indices(5, 42);
-        let by_index = run_campaign_indices(&c, &indices, &machine, ExecConfig::sequential());
-        assert_eq!(by_index.indices, indices);
-        let full = run_campaign(&c, &machine, ExecConfig::sequential());
-        for (i, outcome) in by_index.indices.iter().zip(by_index.outcomes.iter()) {
-            assert_eq!(outcome, &full.outcomes[*i]);
-        }
     }
 }

@@ -43,7 +43,7 @@ pub mod session;
 pub mod store;
 
 pub use cache::{CacheStats, CachedMutant, MutantCache};
-pub use exec::{CampaignRun, CampaignRunReport, ExecConfig};
+pub use exec::ExecConfig;
 pub use metrics::{field_profile, js_distance, EffortModel};
 pub use pipeline::{InjectionReport, NeuralFaultInjector, PipelineConfig, PipelineError};
 pub use service::{

@@ -23,7 +23,7 @@
 //! Execution routes through the engine ([`crate::exec`]) and therefore
 //! through the content-addressed mutant/experiment caches.
 
-use crate::exec::{self, CampaignRunReport, ExecConfig, PlanOutcome};
+use crate::exec::{self, ExecConfig, PlanOutcome};
 use nfi_sfi::jsontext::{
     escape, get_bool, get_hex_u64, get_opt_str, get_str, get_usize, parse_flat_object,
 };
@@ -414,9 +414,9 @@ pub fn merge(runs: &[ShardRun]) -> Result<ShardRun, String> {
     })
 }
 
-/// String-keyed mirror of [`CampaignRunReport`] for decoded shard
-/// documents (whose operator/class keys are owned strings, not
-/// `&'static str`).
+/// Order-independent aggregate of a run's outcomes: commutative
+/// counters, so fold order cannot change the result. String-keyed,
+/// since decoded shard documents carry owned keys.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StringReport {
     /// Plans executed.
@@ -476,30 +476,6 @@ impl StringReport {
             map(&self.modes),
         )
     }
-
-    /// Whether this aggregate equals an engine-side report (used by
-    /// tests to tie the service back to [`exec::run_campaign`]).
-    pub fn matches(&self, report: &CampaignRunReport) -> bool {
-        self.total == report.total
-            && self.applied == report.applied
-            && self.activated == report.activated
-            && self.detected == report.detected
-            && self
-                .per_class
-                .iter()
-                .map(|(k, v)| (k.as_str(), *v))
-                .eq(report.per_class.iter().map(|(k, v)| (*k, *v)))
-            && self
-                .per_operator
-                .iter()
-                .map(|(k, v)| (k.as_str(), *v))
-                .eq(report.per_operator.iter().map(|(k, v)| (*k, *v)))
-            && self
-                .modes
-                .iter()
-                .map(|(k, v)| (k.as_str(), *v))
-                .eq(report.modes.iter().map(|(k, v)| (k.as_str(), *v)))
-    }
 }
 
 #[cfg(test)]
@@ -537,8 +513,60 @@ def test_add():
         let s = spec();
         let run = exec_spec(&s, &machine(), ExecConfig::sequential()).unwrap();
         assert!(run.complete());
-        assert_eq!(run.outcomes.len(), s.units.len());
+        let indices: Vec<usize> = run.outcomes.iter().map(|o| o.index).collect();
+        assert_eq!(indices, (0..s.units.len()).collect::<Vec<_>>());
         assert!(run.report().applied > 0);
+    }
+
+    #[test]
+    fn report_aggregates_exactly_the_outcome_lines() {
+        let s = spec();
+        let run = exec_spec(&s, &machine(), ExecConfig::sequential()).unwrap();
+        for o in &run.outcomes {
+            assert_eq!(o.operator, s.units[o.index].operator);
+            assert_eq!(o.class, s.units[o.index].class.key());
+        }
+        let report = run.report();
+        let applied: Vec<&ShardOutcome> = run.outcomes.iter().filter(|o| o.applied).collect();
+        assert_eq!(report.total, s.units.len());
+        assert_eq!(report.applied, applied.len());
+        assert_eq!(
+            report.activated,
+            applied.iter().filter(|o| o.activated).count()
+        );
+        assert_eq!(
+            report.detected,
+            applied.iter().filter(|o| o.detected).count()
+        );
+        for counts in [&report.per_class, &report.per_operator, &report.modes] {
+            assert_eq!(counts.values().sum::<usize>(), report.applied);
+        }
+        assert_eq!(run.encode().lines().last(), Some(report.render().as_str()));
+    }
+
+    #[test]
+    fn exec_documents_are_thread_count_and_cache_invariant() {
+        let s = spec();
+        let doc = |config: ExecConfig| exec_spec(&s, &machine(), config).unwrap().encode();
+        let uncached = doc(ExecConfig::sequential().cached(false));
+        assert_eq!(doc(ExecConfig::sequential()), uncached, "first cached run");
+        assert_eq!(doc(ExecConfig::sequential()), uncached, "cache replay");
+        assert_eq!(doc(ExecConfig::with_threads(8)), uncached, "8 threads");
+    }
+
+    #[test]
+    fn sampled_subset_lines_equal_the_full_runs_lines() {
+        let s = spec();
+        let full = exec_spec(&s, &machine(), ExecConfig::sequential()).unwrap();
+        let module = nfi_pylite::parse(SOURCE).unwrap();
+        let mut sample = Campaign::full(&module).sample_indices(5, 42);
+        let run = exec_spec(&s.subset(&sample), &machine(), ExecConfig::sequential()).unwrap();
+        sample.sort_unstable();
+        let indices: Vec<usize> = run.outcomes.iter().map(|o| o.index).collect();
+        assert_eq!(indices, sample);
+        for o in &run.outcomes {
+            assert_eq!(o.line, full.outcomes[o.index].line);
+        }
     }
 
     #[test]
@@ -635,22 +663,5 @@ def test_add():
         s.module_fp ^= 1;
         let err = exec_spec(&s, &machine(), ExecConfig::sequential()).unwrap_err();
         assert!(err.contains("fingerprint mismatch"), "{err}");
-    }
-
-    #[test]
-    fn service_report_matches_engine_report() {
-        let s = spec();
-        let run = exec_spec(&s, &machine(), ExecConfig::sequential()).unwrap();
-        let module = nfi_pylite::parse(SOURCE).unwrap();
-        let campaign = Campaign::full(&module);
-        let engine = exec::run_campaign(
-            &campaign,
-            &MachineConfig {
-                seed: 7,
-                ..machine()
-            },
-            ExecConfig::sequential(),
-        );
-        assert!(run.report().matches(&engine.report));
     }
 }

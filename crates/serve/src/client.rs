@@ -1,6 +1,6 @@
 //! A minimal blocking HTTP/1.1 client for exercising the daemon —
-//! used by the integration tests and `bench_serve`, not shipped as a
-//! public API promise. Speaks exactly the subset the server does:
+//! used by the integration tests, `nfi worker` and the repository
+//! benchmark, not shipped as a public API promise. Speaks exactly the subset the server does:
 //! `Content-Length` bodies, keep-alive, no chunking.
 
 use std::io::{BufRead, BufReader, Read, Write};

@@ -1193,6 +1193,15 @@ fn hardened_daemon_with_four_lanes_preserves_offline_byte_parity() {
         );
         let _ = std::fs::remove_dir_all(&offline_dir);
     }
+    // A normal run under every limit sheds nothing and retries nothing,
+    // and with telemetry on every request is timed.
+    let metrics = request_once_as(addr, "secret-a", "GET", "/v1/metrics", None)
+        .unwrap()
+        .text();
+    for counter in ["\"queue_shed\":0", "\"retries\":0"] {
+        assert!(metrics.contains(counter), "{metrics}");
+    }
+    assert!(!metrics.contains("\"http\":{\"count\":0,"), "{metrics}");
     handle.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }

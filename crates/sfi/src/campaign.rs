@@ -7,7 +7,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// One planned injection: an operator applied at a site.
 #[derive(Debug, Clone)]
@@ -44,7 +43,7 @@ pub struct CampaignReport {
 /// # Ok::<(), nfi_pylite::PyliteError>(())
 /// ```
 pub struct Campaign {
-    module: Arc<Module>,
+    module: Module,
     plans: Vec<FaultPlan>,
 }
 
@@ -78,7 +77,7 @@ impl Campaign {
             }
         }
         Campaign {
-            module: Arc::new(module.clone()),
+            module: module.clone(),
             plans,
         }
     }
@@ -93,17 +92,11 @@ impl Campaign {
         &self.module
     }
 
-    /// The module behind a cheap shared pointer (what the parallel
-    /// execution engine clones instead of the whole AST).
-    pub fn module_arc(&self) -> Arc<Module> {
-        Arc::clone(&self.module)
-    }
-
     /// A seeded random sample of at most `n` plans (without
     /// replacement), as borrowed views into the enumeration — no plan
     /// is ever cloned. Callers that need owned plans can clone
-    /// individually; callers driving the execution engine should prefer
-    /// [`Campaign::sample_indices`] and index-based execution.
+    /// individually; callers that execute a sample should pass
+    /// [`Campaign::sample_indices`] to [`crate::CampaignSpec::subset`].
     pub fn sample(&self, n: usize, seed: u64) -> Vec<&FaultPlan> {
         self.sample_indices(n, seed)
             .into_iter()

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Process-wide kill switch: when disabled, histogram recording and
 /// log emission become a single relaxed load — the "telemetry off"
-/// side of the bench overhead comparison.
+/// side of a telemetry-tax measurement.
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Turns all telemetry recording on or off. On by default.

@@ -157,7 +157,10 @@ pub fn check_conformance(page: &str) -> Result<(), String> {
     };
     let mut helped = BTreeSet::new();
     let mut typed = BTreeMap::new();
-    let mut bucket_last: BTreeMap<String, (u64, bool)> = BTreeMap::new(); // series -> (cumulative, saw +Inf)
+    // Per histogram series, keyed `<family>_bucket{<labels but le>,`
+    // (the renderer writes `le` last): the running cumulative and
+    // whether `+Inf` was seen, and the series' own `_count`.
+    let mut bucket_last: BTreeMap<String, (u64, bool)> = BTreeMap::new();
     let mut counts: BTreeMap<String, u64> = BTreeMap::new();
     for line in page.lines() {
         if let Some(rest) = line.strip_prefix("# HELP ") {
@@ -213,7 +216,12 @@ pub fn check_conformance(page: &str) -> Result<(), String> {
             } else if name.ends_with("_count")
                 && typed.get(fam).map(String::as_str) == Some("histogram")
             {
-                counts.insert(fam.to_string(), value as u64);
+                let labels = line[name_end..line.rfind(' ').unwrap_or(name_end)].replace(' ', "");
+                let labels = labels
+                    .strip_prefix('{')
+                    .and_then(|l| l.strip_suffix('}'))
+                    .map_or(String::new(), |l| format!("{l},"));
+                counts.insert(format!("{fam}_bucket{{{labels}"), value as u64);
             }
         }
     }
@@ -221,9 +229,7 @@ pub fn check_conformance(page: &str) -> Result<(), String> {
         if !saw_inf {
             return Err(format!("bucket series without +Inf: {series}"));
         }
-        let fam = series.split('{').next().unwrap_or("");
-        let fam = fam.strip_suffix("_bucket").unwrap_or(fam);
-        if let Some(count) = counts.get(fam) {
+        if let Some(count) = counts.get(series) {
             if last > count {
                 return Err(format!("bucket cumulative {last} exceeds _count {count}"));
             }
@@ -306,6 +312,24 @@ mod tests {
             "# HELP h x\n# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 3\n"
         )
         .is_err());
+    }
+
+    #[test]
+    fn conformance_checks_each_histogram_series_against_its_own_count() {
+        let mut p = PromText::new();
+        for (route, samples) in [("/a", 3), ("/b", 1)] {
+            let mut h = Histogram::new();
+            for _ in 0..samples {
+                h.record_micros(10);
+            }
+            p.histogram("nfi_req_seconds", "Requests.", &[("route", route)], &h);
+        }
+        check_conformance(&p.finish()).unwrap();
+        let page = "# HELP h x\n# TYPE h histogram\n\
+                    h_bucket{k=\"a\",le=\"+Inf\"} 2\nh_sum{k=\"a\"} 1\nh_count{k=\"a\"} 1\n\
+                    h_bucket{k=\"b\",le=\"+Inf\"} 5\nh_sum{k=\"b\"} 1\nh_count{k=\"b\"} 5\n";
+        let err = check_conformance(page).unwrap_err();
+        assert!(err.contains("exceeds _count 1"), "{err}");
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! nfi worker --addr IP:PORT [--token-file PATH]   remote execution node for a daemon
 //! nfi store gc --state-dir <dir> [--dry-run]      prune dead store segments
 //! nfi experiments [e1|e2|...|e8|all] [--quick] [--threads N]
-//! nfi bench [--plans N] [--threads N] [--quick] [--out PATH]
 //! ```
 //!
 //! Argument parsing is hand-rolled (the offline dependency set has no
@@ -57,7 +56,6 @@ USAGE:
                (--corpus | --program <name> | --file <path> | <file>...)
   nfi store inspect --state-dir <dir> [--program <name>] [--json]
   nfi experiments [e1|e2|e3|e4|e5|e6|e7|e8|all] [--quick] [--threads N]
-  nfi bench [--plans N] [--threads N] [--lanes N] [--quick] [--out PATH]
 ";
 
 fn main() -> ExitCode {
@@ -135,7 +133,6 @@ fn run(args: &[String]) -> Result<(), String> {
         "worker" => cmd_worker(&flags),
         "store" => cmd_store(&positional, &flags),
         "experiments" => cmd_experiments(&positional, &flags),
-        "bench" => cmd_bench(&flags),
         "--help" | "help" => {
             println!("{USAGE}");
             Ok(())
@@ -377,13 +374,6 @@ fn exec_config(flags: &HashMap<&str, &str>) -> Result<nfi_core::exec::ExecConfig
 /// style as the `--threads` parser, defaulting to 1.
 fn parse_workers(flags: &HashMap<&str, &str>) -> Result<usize, String> {
     parse_positive(flags, "workers")
-}
-
-/// The `--lanes` parser (`serve` and `bench` agree): concurrent
-/// scheduler lanes, strictly positive, defaulting to 1 (the previous
-/// FIFO behavior).
-fn parse_lanes(flags: &HashMap<&str, &str>) -> Result<usize, String> {
-    parse_positive(flags, "lanes")
 }
 
 fn parse_positive(flags: &HashMap<&str, &str>, name: &str) -> Result<usize, String> {
@@ -764,7 +754,7 @@ fn cmd_serve(flags: &HashMap<&str, &str>) -> Result<(), String> {
     }
     let addr = parse_addr(flags)?;
     let workers = parse_workers(flags)?;
-    let lanes = parse_lanes(flags)?;
+    let lanes = parse_positive(flags, "lanes")?;
     let auth = flags
         .get("auth-token-file")
         .map(|path| AuthTokens::load(std::path::Path::new(path)))
@@ -1308,7 +1298,14 @@ fn cmd_experiments(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(
     use nfi_bench::render_table;
     let quick = flags.contains_key("quick");
     let exec = exec_config(flags)?;
+    const NAMES: [&str; 8] = ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8"];
     let which = positional.first().copied().unwrap_or("all");
+    if which != "all" && !NAMES.contains(&which) {
+        return Err(format!(
+            "unknown experiment `{which}` (expected one of {} or all)",
+            NAMES.join(", ")
+        ));
+    }
     let want = |name: &str| which == "all" || which == name;
     if want("e1") {
         let rows = run_e1_with(
@@ -1360,132 +1357,5 @@ fn cmd_experiments(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(
         let (h, d) = e8_table(&rows);
         println!("{}", render_table("E8: ablations", &h, &d));
     }
-    Ok(())
-}
-
-fn cmd_bench(flags: &HashMap<&str, &str>) -> Result<(), String> {
-    use nfi_bench::throughput::{
-        bench_campaign, bench_e7, bench_lm, bench_serve, bench_store, bench_vm, to_json,
-    };
-    let quick = flags.contains_key("quick");
-    // Shared --threads parsing; ExecConfig clamps 0 to 1, so the printed
-    // and recorded thread count always matches what actually ran.
-    let threads = exec_config(flags)?.threads;
-    let plan_cap: usize = flags
-        .get("plans")
-        .map(|v| v.parse().map_err(|_| "bad --plans"))
-        .transpose()?
-        .unwrap_or(if quick { 8 } else { 0 });
-
-    println!("benching campaign engine ({threads} threads)...");
-    let campaign = bench_campaign(plan_cap, threads);
-    println!(
-        "  {} plans: {:.1} plans/s sequential, {:.1} plans/s parallel ({:.2}x), reports identical: {}",
-        campaign.plans,
-        campaign.sequential_plans_per_s(),
-        campaign.parallel_plans_per_s(),
-        campaign.speedup(),
-        campaign.reports_identical,
-    );
-    println!(
-        "  warm rerun: {:.1} plans/s ({:.2}x over cold), mutant-cache hit rate {:.1}%",
-        campaign.warm_plans_per_s(),
-        campaign.warm_speedup(),
-        campaign.mutant_cache.hit_rate() * 100.0,
-    );
-
-    println!("benching LM training kernels (threads = 1 both paths)...");
-    let lm = bench_lm(if quick { 4 } else { 12 }, if quick { 2 } else { 3 });
-    println!(
-        "  {} tokens/epoch: {:.0} tokens/s per-example, {:.0} tokens/s batched ({:.2}x)",
-        lm.tokens,
-        lm.per_example_tokens_per_s(),
-        lm.batched_tokens_per_s(),
-        lm.speedup(),
-    );
-
-    println!("benching E7 pipeline throughput...");
-    let e7 = bench_e7(if quick { 24 } else { 0 }, threads);
-    println!(
-        "  {} scenarios: {:.2}/s sequential, {:.2}/s parallel ({:.2}x)",
-        e7.sequential.scenarios,
-        e7.sequential.throughput_per_s,
-        e7.parallel.throughput_per_s,
-        e7.speedup(),
-    );
-
-    println!("benching VM cold path (precompiled dispatch + code cache)...");
-    let vm = bench_vm(if quick { 3 } else { 0 });
-    println!(
-        "  {} program(s): {:.0} instrs/s precompiled; {} units: {:.1} units/s code-cold, {:.1} units/s code-warm ({:.2}x), code-cache hit rate {:.1}%",
-        vm.programs,
-        vm.instrs_per_s(),
-        vm.units,
-        vm.cold_units_per_s(),
-        vm.warm_units_per_s(),
-        vm.code_warm_speedup(),
-        vm.code_cache.hit_rate() * 100.0,
-    );
-
-    println!("benching incremental campaign store (cold vs warm)...");
-    let store = bench_store(if quick { 3 } else { 0 });
-    println!(
-        "  {} program(s), {} units: {:.1} units/s cold, {:.1} units/s warm replay ({:.2}x), {} of {} replayed, documents identical: {}",
-        store.programs,
-        store.units,
-        store.cold_units_per_s(),
-        store.warm_units_per_s(),
-        store.warm_speedup(),
-        store.warm_replayed,
-        store.units,
-        store.documents_identical,
-    );
-    println!(
-        "  store_edit (one-line edit per program): {:.1} units/s ({:.2}x cold per-unit), {} anchor-replayed / {} executed of {} units, documents identical: {}",
-        store.edit_units_per_s(),
-        store.edit_speedup(),
-        store.edit_anchor_replayed,
-        store.edit_executed,
-        store.edit_units,
-        store.edit_documents_identical,
-    );
-
-    println!("benching the serve daemon (cold vs store-warm, process workers)...");
-    let serve = bench_serve(
-        if quick { 3 } else { 0 },
-        parse_workers(flags)?,
-        parse_lanes(flags)?,
-        nfi_serve::worker::WorkerMode::current_exe()?,
-    );
-    println!(
-        "  {:.0} requests/s; {} program(s), {} units end-to-end over {} lane(s): {:.1} units/s cold, {:.1} units/s store-warm ({:.2}x), documents identical: {}",
-        serve.requests_per_s(),
-        serve.programs,
-        serve.units,
-        serve.lanes,
-        serve.cold_units_per_s(),
-        serve.warm_units_per_s(),
-        serve.warm_speedup(),
-        serve.documents_identical,
-    );
-    println!(
-        "  request latency p50 {} us, p99 {} us; telemetry off: {:.0} requests/s ({:.1}% tax with it on)",
-        serve.request_latency.p50_micros(),
-        serve.request_latency.p99_micros(),
-        serve.off_requests_per_s(),
-        (serve.off_requests_per_s() / serve.requests_per_s().max(1e-9) - 1.0) * 100.0,
-    );
-    println!(
-        "  hardened: {:.0} requests/s with auth + rate limiting; {} forged tokens refused, {} submissions shed, {} worker retries",
-        serve.auth_requests_per_s(),
-        serve.unauthorized,
-        serve.queue_shed,
-        serve.retries,
-    );
-
-    let json = to_json(&campaign, &lm, &e7, &vm, &store, &serve);
-    let path = flags.get("out").copied().unwrap_or("BENCH_e7.json");
-    std::fs::write(path, &json).map_err(|e| format!("cannot write {path}: {e}"))?;
-    println!("wrote {path}");
     Ok(())
 }

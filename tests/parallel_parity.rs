@@ -2,10 +2,11 @@
 //! bitwise-identical results for every thread count, and the batched
 //! neural kernels must match the per-example reference kernels.
 
-use neural_fault_injection::core::exec::{self, ExecConfig};
+use neural_fault_injection::core::exec::ExecConfig;
+use neural_fault_injection::core::service::{exec_spec, plan_campaign};
 use neural_fault_injection::neural::lm::{code_tokens, LmConfig, NgramLm, BOS};
 use neural_fault_injection::pylite::MachineConfig;
-use neural_fault_injection::sfi::Campaign;
+use neural_fault_injection::sfi::{Campaign, CampaignSpec};
 use nfi_bench::experiments::{run_e1_with, run_e2_with, run_e5_with, run_e7_with};
 
 fn machine() -> MachineConfig {
@@ -15,24 +16,22 @@ fn machine() -> MachineConfig {
     }
 }
 
+fn spec_for(program: &str) -> CampaignSpec {
+    let p = neural_fault_injection::corpus::by_name(program).unwrap();
+    plan_campaign(program, p.source, 7).unwrap()
+}
+
 #[test]
 fn campaign_reports_identical_across_thread_counts() {
     for program in ["ecommerce", "banking", "pipeline"] {
-        let module = neural_fault_injection::corpus::by_name(program)
-            .unwrap()
-            .module()
-            .unwrap();
-        let campaign = Campaign::full(&module);
-        let seq = exec::run_campaign(&campaign, &machine(), ExecConfig::sequential());
+        let spec = spec_for(program);
+        let seq = exec_spec(&spec, &machine(), ExecConfig::sequential()).unwrap();
         for threads in [2, 4, 8] {
-            let par = exec::run_campaign(&campaign, &machine(), ExecConfig::with_threads(threads));
+            let par = exec_spec(&spec, &machine(), ExecConfig::with_threads(threads)).unwrap();
             assert_eq!(
-                seq.outcomes, par.outcomes,
-                "{program}: plan outcomes diverged at {threads} threads"
-            );
-            assert_eq!(
-                seq.report, par.report,
-                "{program}: aggregate report diverged at {threads} threads"
+                seq.encode(),
+                par.encode(),
+                "{program}: run document diverged at {threads} threads"
             );
         }
     }
@@ -40,20 +39,18 @@ fn campaign_reports_identical_across_thread_counts() {
 
 #[test]
 fn sampled_campaign_subset_runs_identically() {
-    let module = neural_fault_injection::corpus::by_name("inventory")
-        .unwrap()
-        .module()
-        .unwrap();
-    let campaign = Campaign::full(&module);
-    // Sampling hands out indices (no plan clones); execution addresses
-    // the campaign's enumeration directly.
-    let sample = campaign.sample_indices(10, 42);
-    let seq = exec::run_campaign_indices(&campaign, &sample, &machine(), ExecConfig::sequential());
-    let par =
-        exec::run_campaign_indices(&campaign, &sample, &machine(), ExecConfig::with_threads(6));
-    assert_eq!(seq.outcomes, par.outcomes);
-    assert_eq!(seq.indices, par.indices);
-    assert_eq!(seq.report.total, 10.min(campaign.plans().len()));
+    let spec = spec_for("inventory");
+    let module = neural_fault_injection::pylite::parse(&spec.source).unwrap();
+    // Sampling hands out global indices, and the subset spec keeps them.
+    let mut sample = Campaign::full(&module).sample_indices(10, 42);
+    let subset = spec.subset(&sample);
+    let seq = exec_spec(&subset, &machine(), ExecConfig::sequential()).unwrap();
+    let par = exec_spec(&subset, &machine(), ExecConfig::with_threads(6)).unwrap();
+    assert_eq!(seq.encode(), par.encode());
+    sample.sort_unstable();
+    let indices: Vec<usize> = seq.outcomes.iter().map(|o| o.index).collect();
+    assert_eq!(indices, sample);
+    assert_eq!(seq.report().total, 10.min(spec.units.len()));
 }
 
 #[test]

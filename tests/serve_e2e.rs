@@ -593,6 +593,11 @@ fn strict_flag_validation_rejects_nonsense_up_front() {
             "store gc needs the live set named explicitly",
         ),
         (&["store"], "usage: nfi store gc"),
+        (
+            &["experiments", "e9"],
+            "unknown experiment `e9` (expected one of e1, e2, e3, e4, e5, e6, e7, e8 or all)",
+        ),
+        (&["bench"], "unknown command `bench`"),
     ] {
         let (ok, stderr) = run(args);
         assert!(!ok, "{args:?} should fail");

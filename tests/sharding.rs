@@ -119,25 +119,17 @@ fn plan_documents_round_trip_through_text_before_execution() {
 
 #[test]
 fn sharded_engine_runs_match_the_full_engine_run() {
-    let module = neural_fault_injection::corpus::by_name("kvcache")
-        .unwrap()
-        .module()
-        .unwrap();
-    let campaign = Campaign::full(&module);
-    let full = exec::run_campaign(&campaign, &machine(), ExecConfig::sequential());
-    let mut pieces = Vec::new();
-    for index in 0..2 {
-        let run = exec::run_campaign(
-            &campaign,
-            &machine(),
-            ExecConfig::with_threads(4).sharded(Shard { index, count: 2 }),
-        );
-        pieces.extend(run.indices.into_iter().zip(run.outcomes));
-    }
-    pieces.sort_by_key(|(i, _)| *i);
+    let spec = spec_for("kvcache");
+    let full = service::exec_spec(&spec, &machine(), ExecConfig::sequential()).unwrap();
+    let pieces: Vec<service::ShardRun> = (0..2)
+        .map(|index| {
+            let config = ExecConfig::with_threads(4).sharded(Shard { index, count: 2 });
+            service::exec_spec(&spec, &machine(), config).unwrap()
+        })
+        .collect();
     assert_eq!(
-        pieces.into_iter().map(|(_, o)| o).collect::<Vec<_>>(),
-        full.outcomes,
+        service::merge(&pieces).unwrap().encode(),
+        full.encode(),
         "parallel 2-way shard union != sequential full run"
     );
 }
@@ -187,24 +179,19 @@ fn mutant_cache_hit_miss_counts_are_deterministic_under_par_map() {
 
 #[test]
 fn cached_campaign_outcomes_equal_uncached_outcomes_at_any_width() {
-    let module = neural_fault_injection::corpus::by_name("ratelimiter")
-        .unwrap()
-        .module()
-        .unwrap();
-    let campaign = Campaign::full(&module);
-    let uncached = exec::run_campaign(
-        &campaign,
-        &machine(),
-        ExecConfig::sequential().cached(false),
-    );
+    let spec = spec_for("ratelimiter");
+    let doc = |config: ExecConfig| {
+        service::exec_spec(&spec, &machine(), config)
+            .unwrap()
+            .encode()
+    };
+    let uncached = doc(ExecConfig::sequential().cached(false));
     for threads in [1, 4] {
-        let cached = exec::run_campaign(
-            &campaign,
-            &machine(),
-            ExecConfig::with_threads(threads).cached(true),
+        assert_eq!(
+            doc(ExecConfig::with_threads(threads).cached(true)),
+            uncached,
+            "threads={threads}"
         );
-        assert_eq!(cached.outcomes, uncached.outcomes, "threads={threads}");
-        assert_eq!(cached.report, uncached.report, "threads={threads}");
     }
 }
 
