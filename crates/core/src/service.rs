@@ -38,14 +38,12 @@ use std::sync::Arc;
 /// pure scheduling decision with no observable effect on documents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchTier {
-    /// Threads inside the calling process (offline `campaign run`,
-    /// `--mode in-process` serving).
+    /// Threads inside the calling process (offline `campaign run`, and
+    /// a serving daemon without a worker binary or live workers).
     LocalThreads,
-    /// Supervised `nfi campaign exec` child processes on the
-    /// scheduler's machine (watchdog, retry, per-unit isolation).
-    LocalProcesses,
-    /// Registered remote `nfi worker` nodes pulling hash-sharded
-    /// assignments over HTTP (heartbeat, requeue, local fallback).
+    /// `nfi worker` processes — a daemon's supervised local children
+    /// and remote nodes alike — pulling hash-sharded assignments over
+    /// HTTP (heartbeat, requeue, per-unit isolation).
     RemoteWorkers,
 }
 
@@ -54,7 +52,6 @@ impl DispatchTier {
     pub fn label(&self) -> &'static str {
         match self {
             DispatchTier::LocalThreads => "local_threads",
-            DispatchTier::LocalProcesses => "local_processes",
             DispatchTier::RemoteWorkers => "remote_workers",
         }
     }
@@ -358,9 +355,9 @@ pub fn exec_units(
 ///
 /// # Protocol invariants
 ///
-/// This is the byte-parity chokepoint every dispatch tier (threads,
-/// spawned `nfi campaign exec` children, remote `nfi worker` nodes)
-/// funnels through:
+/// This is the byte-parity chokepoint every dispatch tier (in-process
+/// threads, and `nfi worker` processes local or remote) funnels
+/// through:
 ///
 /// * **Byte-identical merge.** Outcome `line`s are re-emitted
 ///   verbatim and ordered by global index, so the merged document is

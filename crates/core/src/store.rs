@@ -63,8 +63,8 @@
 //! back. Workers exchange *encoded shard documents*, and the dispatch
 //! step is pluggable ([`Orchestrator::run_spec_with`]): the default
 //! uses in-process threads, while the `nfi serve` daemon passes a
-//! dispatcher that spawns `nfi campaign exec --shard i/n` child
-//! processes — same artifacts, same merge, byte-identical documents.
+//! dispatcher that hands subset specs to `nfi worker` processes — same
+//! artifacts, same merge, byte-identical documents.
 //!
 //! The store has **one writer per segment at a time**: every
 //! orchestrated run serializes its load → execute → save cycle behind
@@ -823,12 +823,11 @@ impl Orchestrator {
     /// shard runs that together cover exactly those indices (each with
     /// `total` equal to the full spec's unit count).
     ///
-    /// This seam is the dispatch-tier abstraction. Three dispatchers
+    /// This seam is the dispatch-tier abstraction. Two dispatchers
     /// exist today: the default [`Self::run_spec`] stripes misses over
-    /// in-process worker threads; `nfi-serve`'s process pool spawns
-    /// `nfi campaign exec --shard i/n` children; and its worker fleet
+    /// in-process worker threads, and `nfi-serve`'s worker fleet
     /// hash-shards the miss set into subset specs
-    /// ([`CampaignSpec::subset`]) pulled by remote `nfi worker` nodes.
+    /// ([`CampaignSpec::subset`]) pulled by `nfi worker` processes.
     ///
     /// # Protocol invariants
     ///
@@ -836,7 +835,8 @@ impl Orchestrator {
     ///   persistence are this function, regardless of dispatcher — so
     ///   a dispatcher that returns correct shard runs yields a document
     ///   byte-identical to an offline `campaign run`, whether the
-    ///   units executed in-process, in a child, or across the network.
+    ///   units executed in-process, in a local worker, or across the
+    ///   network.
     /// * **No overlapping coverage.** The returned runs must cover
     ///   each missing index exactly once; [`service::merge`] refuses
     ///   duplicates. A dispatcher with at-least-once execution (the
@@ -1042,15 +1042,23 @@ impl Orchestrator {
         service::merge(&[run]).ok().map(|merged| merged.encode())
     }
 
-    /// The default dispatcher: stripes the missing unit indices
-    /// round-robin across the workers and executes each stripe on its
-    /// own in-process worker thread. Every worker hands back an
-    /// *encoded* shard document — the same artifact the spawned
-    /// `nfi campaign exec --shard` processes of `nfi serve` hand back —
-    /// which the orchestrator decodes and merges, so the two worker
-    /// transports are interchangeable without any data-flow change.
-    fn dispatch(&self, spec: &CampaignSpec, indices: &[usize]) -> Result<Vec<ShardRun>, String> {
-        let workers = self.workers.clamp(1, indices.len());
+    /// The default dispatcher, also a serving daemon's in-process tier:
+    /// stripes the missing unit indices round-robin across the workers
+    /// and executes each stripe on its own in-process worker thread. Every worker hands back an
+    /// *encoded* shard document — the same artifact the `nfi worker`
+    /// processes of `nfi serve` hand back — which the orchestrator
+    /// decodes and merges, so the two worker transports are
+    /// interchangeable without any data-flow change.
+    ///
+    /// # Errors
+    ///
+    /// Reports a worker's execution failure or a panicked worker.
+    pub fn dispatch(
+        &self,
+        spec: &CampaignSpec,
+        indices: &[usize],
+    ) -> Result<Vec<ShardRun>, String> {
+        let workers = self.workers.min(indices.len()).max(1);
         let stripes: Vec<HashSet<usize>> = (0..workers)
             .map(|w| {
                 indices
@@ -1527,8 +1535,8 @@ def test_add():
         let orch = Orchestrator::new(&dir).unwrap();
         let spec = service::plan_campaign("demo", SOURCE, orch.seed).unwrap();
         // A dispatcher that executes the misses through a *subset spec*
-        // striped two ways — the exact artifact flow the serve daemon
-        // uses with spawned `nfi campaign exec --shard i/n` children.
+        // striped two ways — the artifact flow the serve daemon's
+        // workers use: subset plan in, shard document back.
         let result = orch
             .run_spec_with(&spec, |spec, missing| {
                 assert_eq!(missing.len(), spec.units.len(), "cold run misses all");
@@ -1542,7 +1550,7 @@ def test_add():
                         .unwrap()
                         .encode();
                     // Decoded from the wire document, total re-widened to
-                    // the full spec as the serve worker pool does.
+                    // the full spec as the serve fleet does.
                     let mut run = ShardRun::decode(&doc).unwrap();
                     run.total = spec.units.len();
                     runs.push(run);

@@ -1,4 +1,4 @@
-//! A minimal blocking HTTP/1.1 client for exercising the daemon —
+//! A minimal blocking HTTP/1.1 client for talking to the daemon —
 //! used by the integration tests, `nfi worker` and the repository
 //! benchmark, not shipped as a public API promise. Speaks exactly the subset the server does:
 //! `Content-Length` bodies, keep-alive, no chunking.
@@ -223,41 +223,77 @@ pub fn request_once_as(
         .send(method, path, body)
 }
 
-/// One-shot request that cooperates with the daemon's load shedding:
-/// a `429`/`503` reply carrying `Retry-After` is retried (on a fresh
-/// connection) after sleeping the advised seconds, up to `retries`
-/// times. Any other status — and a shed reply once retries are spent —
-/// is returned as-is for the caller to judge; transport errors are not
-/// retried (the shed path is the one that *promises* the request was
-/// not accepted, so only it is safely idempotent to repeat).
-///
-/// # Errors
-///
-/// Same contract as [`Client::send`].
-pub fn request_with_retry(
-    addr: impl ToSocketAddrs + Clone,
-    token: Option<&str>,
-    method: &str,
-    path: &str,
-    body: Option<&[u8]>,
-    retries: usize,
-) -> Result<Reply, String> {
-    let mut attempt = 0;
-    loop {
-        let mut client = Client::connect(addr.clone())?;
-        if let Some(token) = token {
-            client = client.with_token(token);
+/// A keep-alive connection that reconnects on demand: what `nfi worker`
+/// holds per thread, so a poll or heartbeat costs no connect.
+pub struct Session<A> {
+    addr: A,
+    token: Option<String>,
+    conn: Option<Client>,
+}
+
+impl<A: ToSocketAddrs + Clone> Session<A> {
+    /// A session that connects on its first request, attaching `token`
+    /// as a bearer token when given.
+    pub fn new(addr: A, token: Option<&str>) -> Session<A> {
+        Session {
+            addr,
+            token: token.map(str::to_string),
+            conn: None,
         }
-        let reply = client.send(method, path, body)?;
-        let shed = matches!(reply.status, 429 | 503);
-        if !shed || attempt >= retries {
-            return Ok(reply);
+    }
+
+    /// Sends one request. A transport error on a reused connection —
+    /// the daemon may have closed it while idle — retries once on a
+    /// fresh one. A `429`/`503` reply carrying `Retry-After` is retried
+    /// after sleeping the advised seconds, up to `retries` times. Any
+    /// other status — and a shed reply once retries are spent — is
+    /// returned as-is for the caller to judge (the shed path is the
+    /// one that *promises* the request was not accepted, so only it is
+    /// safely idempotent to repeat).
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Client::send`].
+    pub fn send(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: Option<&[u8]>,
+        retries: usize,
+    ) -> Result<Reply, String> {
+        let mut attempt = 0;
+        loop {
+            let reused = self.conn.is_some();
+            let client = match &mut self.conn {
+                Some(client) => client,
+                None => {
+                    let mut client = Client::connect(self.addr.clone())?;
+                    client.token.clone_from(&self.token);
+                    self.conn.insert(client)
+                }
+            };
+            let reply = match client.send(method, path, body) {
+                Ok(reply) => reply,
+                Err(e) => {
+                    self.conn = None;
+                    if reused {
+                        continue;
+                    }
+                    return Err(e);
+                }
+            };
+            if reply.header("connection") == Some("close") {
+                self.conn = None;
+            }
+            if !matches!(reply.status, 429 | 503) || attempt >= retries {
+                return Ok(reply);
+            }
+            let advised = reply
+                .header("retry-after")
+                .and_then(|v| v.parse::<u64>().ok())
+                .unwrap_or(1);
+            std::thread::sleep(Duration::from_secs(advised).min(MAX_RETRY_AFTER));
+            attempt += 1;
         }
-        let advised = reply
-            .header("retry-after")
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(1);
-        std::thread::sleep(Duration::from_secs(advised).min(MAX_RETRY_AFTER));
-        attempt += 1;
     }
 }

@@ -1,13 +1,15 @@
-//! The worker fleet: remote `nfi worker` nodes as a dispatch tier.
+//! The worker fleet: `nfi worker` processes as the daemon's one
+//! out-of-process dispatch tier.
 //!
-//! [`worker::WorkerPool`](crate::worker::WorkerPool) promoted the
-//! orchestrator's in-process workers to supervised child processes;
-//! this module promotes them across the network. The seam is the same
-//! one both earlier tiers use — [`Orchestrator::run_spec_with`] hands
-//! the dispatcher a self-contained miss set, the dispatcher returns
-//! decoded [`ShardRun`]s, and the orchestrator merges and persists
-//! them — so a document produced by remote workers is byte-identical
-//! to the local-process and offline paths by construction.
+//! Every worker is an `nfi worker` process: the `lanes × workers`
+//! local children the daemon starts and supervises itself
+//! ([`crate::local`]), plus any remote nodes an operator points at the
+//! daemon. The seam is the one the offline path uses —
+//! [`Orchestrator::run_spec_with`](nfi_core::Orchestrator::run_spec_with)
+//! hands the dispatcher a self-contained miss set, the dispatcher
+//! returns decoded [`ShardRun`]s, and the orchestrator merges and
+//! persists them — so a document produced by workers is
+//! byte-identical to the offline path by construction.
 //!
 //! The protocol is **pull-based** over the daemon's existing HTTP/1.1
 //! codec (no new listener, no tokio):
@@ -18,26 +20,32 @@
 //!   `(worker id, generation)` identity plus a heartbeat interval;
 //! * it heartbeats `POST /v1/workers/:id/heartbeat` from a side
 //!   thread, so liveness survives long executions;
-//! * it pulls assignments with `POST /v1/workers/:id/poll`. A
-//!   dispatching lane hash-shards its miss set into **more chunks
-//!   than live workers** ([`OVERSHARD`]), so fast workers naturally
-//!   pull more chunks — work-stealing without a stealing protocol;
+//! * it pulls assignments with `POST /v1/workers/:id/poll`, which
+//!   **long-polls**: an idle poll blocks until an assignment is queued
+//!   or requeued, or the fleet stops, for at most [`POLL_WAIT`]. A
+//!   dispatching lane hash-shards its miss set into one chunk per live
+//!   worker;
 //! * it executes the chunk's subset spec through the ordinary engine
 //!   and streams the shard document (plus its `NFI-SPAN` trace lines)
-//!   back with `POST /v1/workers/:id/result`.
+//!   back with `POST /v1/workers/:id/result`. The lease's `context` is
+//!   the one way a job's trace crosses the process boundary.
 //!
 //! Worker death is invisible to clients:
 //!
-//! * a worker silent past the heartbeat timeout is marked **lost**;
-//!   its leases requeue and the next poll from any live worker picks
-//!   them up;
+//! * a worker silent past the heartbeat timeout, or holding a lease
+//!   past the assignment timeout, is marked **lost**; its leases
+//!   requeue and the next poll from any live worker picks them up. The
+//!   supervisor marks an exited local child lost at once, and kills
+//!   and replaces a local child the fleet marked lost;
 //! * a worker that polls while it still holds a lease abandoned that
 //!   lease (its result never arrived — `nfi worker` polls again after a
 //!   failed result POST), so the lease requeues on that poll;
-//! * an assignment requeued past its cap — or stranded with no live
-//!   workers at all — is executed **locally** by the blocked lane, so
-//!   every accepted job completes even if the whole fleet dies
-//!   mid-campaign;
+//! * an assignment requeued past its cap splits into single-unit
+//!   assignments, and a unit requeued past its own cap is **isolated**:
+//!   counted in `failed_units` and left uncovered, so one poisoned unit
+//!   costs only its own outcome. The saved segment is then partial,
+//!   which is legal — a later run re-executes only the uncovered units.
+//!   Nothing fabricated is written and nothing runs in the daemon;
 //! * results are **first-wins idempotent**: execution is at-least-once
 //!   (a timed-out worker may still finish), but only the first
 //!   document for an assignment is kept, so [`nfi_core::merge`] never
@@ -51,19 +59,17 @@
 //! through the rows of [`crate::metrics::METRICS`], as the `fleet`
 //! section of `/v1/metrics` and the `nfi_fleet_*` Prometheus families.
 
-use nfi_core::service::{self, ShardRun};
-use nfi_core::Orchestrator;
+use nfi_core::service::ShardRun;
 use nfi_sfi::CampaignSpec;
-use nfi_telemetry::{log::log, trace, Level, Span, SpanRecord, Trace};
+use nfi_telemetry::{log::log, trace, Level, SpanRecord, Trace};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Chunks created per live worker at dispatch time. Over-sharding is
-/// what makes pull-based assignment steal work: a straggler holds one
-/// small chunk while faster workers drain the rest of the pool.
-pub const OVERSHARD: usize = 4;
+/// How long an idle poll waits for work before answering
+/// `{"assignment":null}`.
+pub const POLL_WAIT: Duration = Duration::from_secs(2);
 
 /// How long a blocked dispatch waits between lease scans. Requeue
 /// latency after a heartbeat timeout is bounded by timeout + this.
@@ -78,13 +84,15 @@ pub struct FleetEvents {
     pub heartbeats: AtomicU64,
     /// Accepted polls (with or without an assignment to hand out).
     pub polls: AtomicU64,
-    /// Workers marked lost after a heartbeat timeout.
+    /// Workers marked lost: heartbeat timeout, lease timeout, or an
+    /// exited local child.
     pub workers_lost: AtomicU64,
-    /// Assignments created by dispatching lanes.
+    /// Assignments created by dispatching lanes (isolation splits
+    /// included).
     pub dispatched: AtomicU64,
     /// Assignments completed by a worker result.
     pub completed: AtomicU64,
-    /// Requeues (heartbeat loss, rejoin, abandoned lease, error result,
+    /// Requeues (worker loss, rejoin, abandoned lease, error result,
     /// bad document).
     pub requeued: AtomicU64,
     /// Worker-reported execution failures and undecodable documents.
@@ -95,9 +103,9 @@ pub struct FleetEvents {
     /// Requests refused for carrying a stale generation (or arriving
     /// from a lost worker that must re-register first).
     pub stale_rejections: AtomicU64,
-    /// Assignments the dispatching lane executed locally (requeue cap
-    /// exhausted, or no live workers left).
-    pub local_fallbacks: AtomicU64,
+    /// Units left uncovered: requeued past their own cap, or stranded
+    /// with no live worker on a daemon that starts none.
+    pub failed_units: AtomicU64,
 }
 
 /// Why a worker request was refused.
@@ -143,7 +151,8 @@ pub struct Lease {
     pub job: u64,
     /// The encoded subset [`CampaignSpec`] to execute.
     pub plan: String,
-    /// `NFI_TRACE`-format context the worker's spans re-anchor under.
+    /// `<trace>:<parent span>` context the worker's spans re-anchor
+    /// under ([`Trace::context_string`]).
     pub context: Option<String>,
 }
 
@@ -174,12 +183,12 @@ enum AssignState {
 struct Assignment {
     id: u64,
     job: u64,
-    /// Global unit indices of this chunk (the local-fallback path
-    /// re-subsets the job's spec from these instead of re-decoding).
+    /// Global unit indices of this chunk (an isolation split re-subsets
+    /// the job's spec from these instead of re-decoding).
     indices: Vec<usize>,
     /// Encoded subset spec handed to the worker.
     plan: String,
-    /// `NFI_TRACE` context string for the worker.
+    /// Trace context string for the worker.
     context: Option<String>,
     state: AssignState,
     requeues: u32,
@@ -207,15 +216,26 @@ pub struct Fleet {
     expected_fp: u64,
     /// Silence budget before a worker is marked lost.
     heartbeat_timeout: Duration,
-    /// Requeues per assignment before the lane runs it locally.
+    /// Requeues per assignment before it splits (or, for one unit,
+    /// fails).
     max_requeues: u32,
     /// Optional per-lease execution budget (`None` = heartbeat-only
     /// failure detection).
     lease_timeout: Option<Duration>,
+    /// Whether the daemon supervises local workers, so a dispatch with
+    /// no live worker waits for one instead of leaving its units
+    /// uncovered.
+    supervised: bool,
+    /// How long an idle poll blocks ([`POLL_WAIT`]).
+    poll_wait: Duration,
     /// Protocol counters.
     pub events: FleetEvents,
     inner: Mutex<FleetInner>,
+    /// Woken when a dispatch can make progress (results, losses).
     changed: Condvar,
+    /// Woken when a poll can (new or requeued assignments, stop).
+    work: Condvar,
+    stopped: AtomicBool,
     next_worker: AtomicU64,
     next_assignment: AtomicU64,
 }
@@ -224,20 +244,26 @@ impl Fleet {
     /// A fleet that accepts workers whose machine fingerprint is
     /// `expected_fp` (the scheduler's own — byte parity requires both
     /// sides to execute under the same machine configuration).
+    /// `supervised` says whether the daemon keeps local workers alive.
     pub fn new(
         expected_fp: u64,
         heartbeat_timeout: Duration,
         max_requeues: u32,
         lease_timeout: Option<Duration>,
+        supervised: bool,
     ) -> Fleet {
         Fleet {
             expected_fp,
             heartbeat_timeout,
             max_requeues,
             lease_timeout,
+            supervised,
+            poll_wait: POLL_WAIT,
             events: FleetEvents::default(),
             inner: Mutex::new(FleetInner::default()),
             changed: Condvar::new(),
+            work: Condvar::new(),
+            stopped: AtomicBool::new(false),
             next_worker: AtomicU64::new(0),
             next_assignment: AtomicU64::new(0),
         }
@@ -245,6 +271,13 @@ impl Fleet {
 
     fn lock(&self) -> MutexGuard<'_, FleetInner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Wakes both sides after a requeue: polls can lease it, and a
+    /// dispatch may now have to split or fail it.
+    fn requeued(&self) {
+        self.work.notify_all();
+        self.changed.notify_all();
     }
 
     /// Registers (or re-registers) a worker by name.
@@ -277,7 +310,9 @@ impl Fleet {
             }
         };
         let generation = inner.workers.get(&worker).map_or(1, |w| w.generation + 1);
-        self.requeue_leases_of(&mut inner, worker);
+        if self.requeue_leases_of(&mut inner, worker) {
+            self.requeued();
+        }
         inner.workers.insert(
             worker,
             WorkerEntry {
@@ -287,7 +322,6 @@ impl Fleet {
             },
         );
         self.events.registrations.fetch_add(1, Ordering::Relaxed);
-        self.changed.notify_all();
         log(
             Level::Info,
             "worker_registered",
@@ -318,44 +352,62 @@ impl Fleet {
         Ok(())
     }
 
-    /// Hands out the oldest pending assignment, if any.
+    /// Hands out the oldest pending assignment, waiting up to
+    /// [`POLL_WAIT`] for one to be queued or requeued. A stopped fleet
+    /// answers an idle poll at once.
     ///
     /// Polling also counts as liveness, and requeues any lease the
     /// worker still holds: a worker polls only once it is done with its
     /// last lease, so such a lease was abandoned, and the liveness this
     /// poll refreshes would otherwise keep it leased forever.
     /// Assignments past the requeue cap are never handed out — they
-    /// belong to the dispatching lane's local fallback.
+    /// belong to the dispatching lane's isolation step.
     ///
     /// # Errors
     ///
-    /// Same contract as [`Fleet::heartbeat`].
+    /// Same contract as [`Fleet::heartbeat`]; a rejoin or loss while
+    /// the poll waits ends it with [`FleetError::Stale`].
     pub fn poll(&self, worker: u64, generation: u64) -> Result<Option<Lease>, FleetError> {
+        let deadline = Instant::now() + self.poll_wait;
         let mut inner = self.lock();
         self.reap(&mut inner);
         self.validate(&mut inner, worker, generation)?;
         self.events.polls.fetch_add(1, Ordering::Relaxed);
         if self.requeue_leases_of(&mut inner, worker) {
-            self.changed.notify_all();
+            self.requeued();
         }
-        let max_requeues = self.max_requeues;
-        let lease = inner
-            .assignments
-            .values_mut()
-            .find(|a| a.state == AssignState::Pending && a.requeues <= max_requeues)
-            .map(|a| {
-                a.state = AssignState::Leased {
-                    worker,
-                    since: Instant::now(),
-                };
-                Lease {
-                    assignment: a.id,
-                    job: a.job,
-                    plan: a.plan.clone(),
-                    context: a.context.clone(),
-                }
-            });
-        Ok(lease)
+        loop {
+            let max_requeues = self.max_requeues;
+            let lease = inner
+                .assignments
+                .values_mut()
+                .find(|a| a.state == AssignState::Pending && a.requeues <= max_requeues)
+                .map(|a| {
+                    a.state = AssignState::Leased {
+                        worker,
+                        since: Instant::now(),
+                    };
+                    Lease {
+                        assignment: a.id,
+                        job: a.job,
+                        plan: a.plan.clone(),
+                        context: a.context.clone(),
+                    }
+                });
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if lease.is_some() || remaining.is_zero() || self.stopped.load(Ordering::SeqCst) {
+                return Ok(lease);
+            }
+            inner = self
+                .work
+                .wait_timeout(inner, remaining)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+            match inner.workers.get(&worker) {
+                Some(w) if w.generation == generation && !w.lost => {}
+                _ => return Err(FleetError::Stale),
+            }
+        }
     }
 
     /// Records a worker's result for an assignment.
@@ -431,6 +483,7 @@ impl Fleet {
                     a.state = AssignState::Pending;
                     a.requeues += 1;
                     self.events.requeued.fetch_add(1, Ordering::Relaxed);
+                    self.work.notify_all();
                 }
             }
         }
@@ -438,176 +491,206 @@ impl Fleet {
         Ok(Completion::Accepted)
     }
 
-    /// Live (registered, not lost) worker count. The scheduler routes
-    /// a job to the remote tier exactly when this is nonzero.
+    /// Live (registered, not lost) worker count: the chunk count of the
+    /// next dispatch.
     pub fn live_workers(&self) -> usize {
         let mut inner = self.lock();
         self.reap(&mut inner);
         inner.workers.values().filter(|w| !w.lost).count()
     }
 
+    /// Marks the worker registered as `name` lost at once and requeues
+    /// its leases — the supervisor's call when a local child exits, so
+    /// its lease moves on without waiting out the heartbeat timeout.
+    pub(crate) fn lose(&self, name: &str) {
+        let mut inner = self.lock();
+        let Some(&worker) = inner.by_name.get(name) else {
+            return;
+        };
+        if let Some(w) = inner.workers.get_mut(&worker) {
+            if !w.lost {
+                w.lost = true;
+                self.events.workers_lost.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        self.requeue_leases_of(&mut inner, worker);
+        self.requeued();
+    }
+
+    /// Whether the worker registered as `name` has been marked lost
+    /// (after a reap) — the supervisor kills and replaces such a local
+    /// child. A name not yet registered is not lost.
+    pub(crate) fn is_lost(&self, name: &str) -> bool {
+        let mut inner = self.lock();
+        self.reap(&mut inner);
+        let worker = inner.by_name.get(name).copied();
+        worker
+            .and_then(|w| inner.workers.get(&w))
+            .is_some_and(|w| w.lost)
+    }
+
+    /// Stops the fleet: idle polls answer at once instead of waiting,
+    /// and a dispatch still waiting (a document rebuild racing the
+    /// daemon's stop) leaves its remaining units uncovered, so a
+    /// stopping daemon's connection threads are not held by either.
+    pub(crate) fn stop(&self) {
+        self.stopped.store(true, Ordering::SeqCst);
+        let _guard = self.lock();
+        self.requeued();
+    }
+
     /// Dispatches a job's miss set over the fleet and blocks until
-    /// every chunk has a result: the remote leg of
-    /// [`Orchestrator::run_spec_with`].
+    /// every chunk has a result or is isolated: the worker leg of
+    /// [`Orchestrator::run_spec_with`](nfi_core::Orchestrator::run_spec_with).
     ///
-    /// The misses are hash-sharded into `live workers × OVERSHARD`
-    /// chunks, each encoded once as a self-contained subset spec
-    /// ([`CampaignSpec::subset`]) and queued for pulling. The lane
-    /// then waits, rescanning every [`LEASE_SCAN`]: done assignments
-    /// are harvested (their worker spans re-anchored into the job
-    /// trace), timed-out leases requeue, and a chunk past its requeue
-    /// cap — or stranded with no live workers — executes right here on
-    /// the lane. The returned runs carry the **full** spec's unit
-    /// count, so they merge with the store's replayed outcomes exactly
-    /// like the local tiers' runs do.
-    ///
-    /// # Errors
-    ///
-    /// Only local-fallback execution errors propagate (a plan that
-    /// cannot execute anywhere); worker loss never does.
-    pub fn dispatch(
-        &self,
-        orch: &Orchestrator,
-        job: u64,
-        spec: &CampaignSpec,
-        missing: &[usize],
-    ) -> Result<Vec<ShardRun>, String> {
+    /// The misses are hash-sharded into one chunk per live worker, each
+    /// encoded once as a self-contained subset spec
+    /// ([`CampaignSpec::subset`]) and queued for pulling. The lane then
+    /// waits, rescanning every [`LEASE_SCAN`]: done assignments are
+    /// harvested (their worker spans re-anchored into the job trace),
+    /// lost and timed-out leases requeue, and a chunk past its requeue
+    /// cap splits into single-unit assignments. A unit past its own cap
+    /// — or stranded with no live worker on a daemon that supervises
+    /// none, or by a stop — is counted in `failed_units` and left out
+    /// of the returned runs. The runs carry the **full** spec's unit count, so they
+    /// merge with the store's replayed outcomes.
+    pub fn dispatch(&self, job: u64, spec: &CampaignSpec, missing: &[usize]) -> Vec<ShardRun> {
         if missing.is_empty() {
-            return Ok(Vec::new());
+            return Vec::new();
         }
         let total = spec.units.len();
         let context = trace::current_context();
-        let chunk_count = (self.live_workers().max(1) * OVERSHARD).clamp(1, missing.len());
+        let chunk_count = self.live_workers().clamp(1, missing.len());
         let mut chunks: Vec<Vec<usize>> = vec![Vec::new(); chunk_count];
         for &index in missing {
             chunks[chunk_of(index, chunk_count)].push(index);
         }
         chunks.retain(|c| !c.is_empty());
-
-        let mut outstanding: Vec<u64> = Vec::with_capacity(chunks.len());
-        {
-            let mut inner = self.lock();
-            for indices in chunks {
-                let id = self.next_assignment.fetch_add(1, Ordering::Relaxed) + 1;
-                let (span, dispatched_at_us, context_env) = match &context {
-                    Some((t, _)) => {
-                        let span = t.alloc_span();
-                        (span, t.elapsed_us(), Some(t.context_env(span)))
-                    }
-                    None => (0, 0, None),
-                };
-                let plan = spec.subset(&indices).encode();
-                inner.assignments.insert(
-                    id,
-                    Assignment {
-                        id,
-                        job,
-                        indices,
-                        plan,
-                        context: context_env,
-                        state: AssignState::Pending,
-                        requeues: 0,
-                        span,
-                        dispatched_at_us,
-                        result: None,
-                    },
-                );
-                self.events.dispatched.fetch_add(1, Ordering::Relaxed);
-                outstanding.push(id);
-            }
-            self.changed.notify_all();
-        }
+        let mut outstanding = self.enqueue(job, spec, &context, chunks);
 
         let mut runs = Vec::new();
         while !outstanding.is_empty() {
-            // Classify under the lock; execute/decode outside it.
-            let mut done = Vec::new();
-            let mut fallback = Vec::new();
-            {
-                let mut inner = self.lock();
-                loop {
-                    self.reap(&mut inner);
-                    let any_live = inner.workers.values().any(|w| !w.lost);
-                    for &id in &outstanding {
-                        enum Take {
-                            Done,
-                            Fallback,
-                            Wait,
-                        }
-                        let take = match inner.assignments.get(&id) {
-                            Some(a) => match &a.state {
-                                AssignState::Done => Take::Done,
-                                AssignState::Pending
-                                    if a.requeues > self.max_requeues || !any_live =>
-                                {
-                                    Take::Fallback
-                                }
-                                _ => Take::Wait,
-                            },
-                            None => Take::Wait,
-                        };
-                        match take {
-                            Take::Done => {
-                                done.push(inner.assignments.remove(&id).expect("present"));
-                            }
-                            Take::Fallback => {
-                                fallback.push(inner.assignments.remove(&id).expect("present"));
-                            }
-                            Take::Wait => {}
-                        }
-                    }
-                    if !done.is_empty() || !fallback.is_empty() {
-                        break;
-                    }
-                    let (guard, _) = self
-                        .changed
-                        .wait_timeout(inner, LEASE_SCAN)
-                        .unwrap_or_else(|e| e.into_inner());
-                    inner = guard;
-                }
-            }
+            let (done, exhausted, stranded) = self.settle(&mut outstanding);
             for assignment in done {
-                let id = assignment.id;
                 match self.harvest(&context, total, assignment) {
-                    Ok(run) => {
-                        outstanding.retain(|&o| o != id);
-                        runs.push(run);
-                    }
+                    Ok(run) => runs.push(run),
                     Err(requeued) => {
                         // Undecodable document: back into the pool for
-                        // another worker (or the fallback path).
-                        let mut inner = self.lock();
-                        inner.assignments.insert(id, *requeued);
+                        // another worker (or the isolation step).
+                        outstanding.push(requeued.id);
+                        self.lock().assignments.insert(requeued.id, *requeued);
+                        self.requeued();
                     }
                 }
             }
-            for assignment in fallback {
-                let id = assignment.id;
-                match self.run_locally(orch, spec, total, &assignment) {
-                    Ok(run) => {
-                        outstanding.retain(|&o| o != id);
-                        runs.push(run);
-                    }
-                    Err(e) => {
-                        // Unexecutable anywhere: abandon the dispatch,
-                        // clearing our remaining assignments so late
-                        // results count as duplicates, not leaks.
-                        let mut inner = self.lock();
-                        for &o in &outstanding {
-                            inner.assignments.remove(&o);
-                        }
-                        return Err(e);
-                    }
+            for assignment in exhausted {
+                if assignment.indices.len() > 1 && !stranded {
+                    let singles = assignment.indices.iter().map(|&i| vec![i]).collect();
+                    outstanding.extend(self.enqueue(job, spec, &context, singles));
+                    continue;
                 }
+                self.events
+                    .failed_units
+                    .fetch_add(assignment.indices.len() as u64, Ordering::Relaxed);
+                log(
+                    Level::Warn,
+                    "units_failed",
+                    &[
+                        ("job", &job.to_string()),
+                        ("assignment", &assignment.id.to_string()),
+                        ("units", &assignment.indices.len().to_string()),
+                    ],
+                );
             }
         }
-        Ok(runs)
+        runs
     }
 
-    /// Marks silent workers lost and requeues expired leases. Called
-    /// under the lock from every scan point, so liveness converges on
-    /// whichever of poll / live-worker count / dispatch touches the
-    /// fleet next.
+    /// Blocks until some outstanding assignment is done, or pending past
+    /// its requeue cap, or stranded (no live worker on an unsupervised
+    /// fleet, or a stopped fleet); takes those out of the pool and of
+    /// `outstanding`. Returns (done, exhausted, stranded).
+    fn settle(&self, outstanding: &mut Vec<u64>) -> (Vec<Assignment>, Vec<Assignment>, bool) {
+        let mut inner = self.lock();
+        loop {
+            self.reap(&mut inner);
+            let stranded = self.stopped.load(Ordering::SeqCst)
+                || (!self.supervised && !inner.workers.values().any(|w| !w.lost));
+            let (mut done, mut exhausted) = (Vec::new(), Vec::new());
+            outstanding.retain(|id| {
+                let settled = match inner.assignments.get(id) {
+                    Some(a) if a.state == AssignState::Done => &mut done,
+                    Some(a)
+                        if stranded
+                            || (a.state == AssignState::Pending
+                                && a.requeues > self.max_requeues) =>
+                    {
+                        &mut exhausted
+                    }
+                    _ => return true,
+                };
+                settled.extend(inner.assignments.remove(id));
+                false
+            });
+            if !done.is_empty() || !exhausted.is_empty() {
+                return (done, exhausted, stranded);
+            }
+            inner = self
+                .changed
+                .wait_timeout(inner, LEASE_SCAN)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+    }
+
+    /// Queues one assignment per chunk of global unit indices and
+    /// wakes the polls; returns the new assignment ids.
+    fn enqueue(
+        &self,
+        job: u64,
+        spec: &CampaignSpec,
+        context: &Option<(Arc<Trace>, u64)>,
+        chunks: Vec<Vec<usize>>,
+    ) -> Vec<u64> {
+        let mut ids = Vec::with_capacity(chunks.len());
+        let mut inner = self.lock();
+        for indices in chunks {
+            let id = self.next_assignment.fetch_add(1, Ordering::Relaxed) + 1;
+            let (span, dispatched_at_us, context) = match context {
+                Some((t, _)) => {
+                    let span = t.alloc_span();
+                    (span, t.elapsed_us(), Some(t.context_string(span)))
+                }
+                None => (0, 0, None),
+            };
+            let plan = spec.subset(&indices).encode();
+            inner.assignments.insert(
+                id,
+                Assignment {
+                    id,
+                    job,
+                    indices,
+                    plan,
+                    context,
+                    state: AssignState::Pending,
+                    requeues: 0,
+                    span,
+                    dispatched_at_us,
+                    result: None,
+                },
+            );
+            self.events.dispatched.fetch_add(1, Ordering::Relaxed);
+            ids.push(id);
+        }
+        self.work.notify_all();
+        ids
+    }
+
+    /// Marks silent workers and workers holding a lease past the
+    /// assignment timeout lost, and requeues their leases. Called under
+    /// the lock from every scan point, so liveness converges on
+    /// whichever of poll / live-worker count / dispatch / supervisor
+    /// touches the fleet next.
     fn reap(&self, inner: &mut FleetInner) {
         let now = Instant::now();
         let FleetInner {
@@ -615,32 +698,43 @@ impl Fleet {
             assignments,
             ..
         } = inner;
-        for w in workers.values_mut() {
-            if !w.lost && now.duration_since(w.last_seen) > self.heartbeat_timeout {
-                w.lost = true;
+        let lose = |worker: &mut WorkerEntry| {
+            if !worker.lost {
+                worker.lost = true;
                 self.events.workers_lost.fetch_add(1, Ordering::Relaxed);
             }
-        }
-        for a in assignments.values_mut() {
-            let expired = match &a.state {
-                AssignState::Leased { worker, since } => {
-                    workers.get(worker).is_none_or(|w| w.lost)
-                        || self
-                            .lease_timeout
-                            .is_some_and(|t| now.duration_since(*since) > t)
-                }
-                _ => false,
-            };
-            if expired {
-                a.state = AssignState::Pending;
-                a.requeues += 1;
-                self.events.requeued.fetch_add(1, Ordering::Relaxed);
+        };
+        for w in workers.values_mut() {
+            if now.duration_since(w.last_seen) > self.heartbeat_timeout {
+                lose(w);
             }
+        }
+        let mut any = false;
+        for a in assignments.values_mut() {
+            let AssignState::Leased { worker, since } = a.state else {
+                continue;
+            };
+            let overdue = self
+                .lease_timeout
+                .is_some_and(|t| now.duration_since(since) > t);
+            match workers.get_mut(&worker) {
+                Some(w) if overdue => lose(w),
+                Some(w) if !w.lost => continue,
+                _ => {}
+            }
+            a.state = AssignState::Pending;
+            a.requeues += 1;
+            self.events.requeued.fetch_add(1, Ordering::Relaxed);
+            any = true;
+        }
+        if any {
+            self.requeued();
         }
     }
 
     /// Requeues every lease held by `worker` (any generation) — the
-    /// rejoin and abandoned-lease paths. Returns whether any requeued.
+    /// rejoin, abandoned-lease and exited-child paths. Returns whether
+    /// any requeued.
     fn requeue_leases_of(&self, inner: &mut FleetInner, worker: u64) -> bool {
         let mut any = false;
         for a in inner.assignments.values_mut() {
@@ -674,10 +768,10 @@ impl Fleet {
     }
 
     /// Decodes a harvested assignment's document and re-anchors the
-    /// worker's spans under the job trace (the same `reserve_ids` +
-    /// `import_child` protocol process workers use over stderr).
-    /// An undecodable document hands the assignment back for requeue
-    /// (boxed — the error path is rare and the struct is wide).
+    /// worker's spans under the job trace (`reserve_ids` +
+    /// `import_child`). An undecodable document hands the assignment
+    /// back for requeue (boxed — the error path is rare and the struct
+    /// is wide).
     fn harvest(
         &self,
         context: &Option<(Arc<Trace>, u64)>,
@@ -735,31 +829,6 @@ impl Fleet {
             }
         }
     }
-
-    /// Executes an abandoned assignment on the dispatching lane — the
-    /// tier of last resort that makes total fleet loss invisible.
-    fn run_locally(
-        &self,
-        orch: &Orchestrator,
-        spec: &CampaignSpec,
-        total: usize,
-        assignment: &Assignment,
-    ) -> Result<ShardRun, String> {
-        self.events.local_fallbacks.fetch_add(1, Ordering::Relaxed);
-        log(
-            Level::Warn,
-            "assignment_local_fallback",
-            &[
-                ("assignment", &assignment.id.to_string()),
-                ("units", &assignment.indices.len().to_string()),
-            ],
-        );
-        let _span = Span::enter("local_fallback");
-        let subset = spec.subset(&assignment.indices);
-        let mut run = service::exec_spec(&subset, &orch.machine, orch.config)?;
-        run.total = total;
-        Ok(run)
-    }
 }
 
 /// The chunk a global unit index hash-shards into: FNV-1a over the
@@ -777,117 +846,233 @@ fn chunk_of(index: usize, chunks: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nfi_core::exec::ExecConfig;
     use nfi_core::service::exec_spec;
-    use std::path::PathBuf;
+    use nfi_pylite::MachineConfig;
 
     const SOURCE: &str = "\
 def add(a, b):
     return a + b
+def scale(x):
+    if x > 2:
+        return x * 3
+    return x
 def test_add():
     assert add(1, 2) == 3
+def test_scale():
+    assert scale(3) == 9
 ";
 
-    fn scratch(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("nfi-fleet-test-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn fixture() -> (CampaignSpec, Vec<usize>) {
+        let spec = nfi_core::plan_campaign("demo", SOURCE, MachineConfig::default().seed).unwrap();
+        let all: Vec<usize> = spec.units.iter().map(|u| u.index).collect();
+        (spec, all)
     }
 
-    fn fixture(tag: &str) -> (Orchestrator, CampaignSpec, Vec<usize>) {
-        let orch = Orchestrator::new(scratch(tag)).unwrap();
-        let spec = nfi_core::plan_campaign("demo", SOURCE, orch.seed).unwrap();
-        let all: Vec<usize> = (0..spec.units.len()).collect();
-        (orch, spec, all)
+    fn fingerprint() -> u64 {
+        MachineConfig::default().fingerprint()
     }
 
-    fn fleet_for(orch: &Orchestrator, timeout: Duration, max_requeues: u32) -> Fleet {
-        Fleet::new(orch.machine.fingerprint(), timeout, max_requeues, None)
+    /// A fleet whose idle polls wait 20 ms, so scripted workers loop
+    /// fast.
+    fn fleet(timeout: Duration, max_requeues: u32, supervised: bool) -> Fleet {
+        Fleet {
+            poll_wait: Duration::from_millis(20),
+            ..Fleet::new(fingerprint(), timeout, max_requeues, None, supervised)
+        }
     }
 
-    /// Plays one obedient worker until the dispatch thread finishes.
-    fn drain_as_worker(
+    fn execute(plan: &str) -> String {
+        let sub = CampaignSpec::decode(plan).unwrap();
+        exec_spec(&sub, &MachineConfig::default(), ExecConfig::default())
+            .unwrap()
+            .encode()
+    }
+
+    fn direct(spec: &CampaignSpec) -> ShardRun {
+        exec_spec(spec, &MachineConfig::default(), ExecConfig::default()).unwrap()
+    }
+
+    /// Seeds the pool directly (no dispatch thread): one assignment
+    /// holding every unit.
+    fn seed_one(fleet: &Fleet, spec: &CampaignSpec, all: &[usize]) {
+        fleet.lock().assignments.insert(
+            1,
+            Assignment {
+                id: 1,
+                job: 9,
+                indices: all.to_vec(),
+                plan: spec.subset(all).encode(),
+                context: None,
+                state: AssignState::Pending,
+                requeues: 0,
+                span: 0,
+                dispatched_at_us: 0,
+                result: None,
+            },
+        );
+    }
+
+    /// Plays one worker until `stop`: executes every lease for which
+    /// `obey` holds and abandons the others (its next poll requeues
+    /// them, as after a failed result POST).
+    fn play_worker(
         fleet: &Fleet,
-        orch: &Orchestrator,
         reg: Registration,
+        obey: impl Fn(&CampaignSpec) -> bool,
         stop: impl Fn() -> bool,
     ) {
-        loop {
+        while !stop() {
             match fleet.poll(reg.worker, reg.generation) {
                 Ok(Some(lease)) => {
-                    let sub = CampaignSpec::decode(&lease.plan).unwrap();
-                    let run = exec_spec(&sub, &orch.machine, orch.config).unwrap();
-                    fleet
-                        .complete(
-                            reg.worker,
-                            reg.generation,
-                            lease.assignment,
-                            Ok((run.encode(), Vec::new())),
-                        )
-                        .unwrap();
-                }
-                Ok(None) => {
-                    if stop() {
-                        return;
+                    if obey(&CampaignSpec::decode(&lease.plan).unwrap()) {
+                        let doc = execute(&lease.plan);
+                        fleet
+                            .complete(
+                                reg.worker,
+                                reg.generation,
+                                lease.assignment,
+                                Ok((doc, vec![])),
+                            )
+                            .unwrap();
                     }
-                    std::thread::sleep(Duration::from_millis(5));
                 }
+                Ok(None) => {}
                 Err(_) => return,
             }
         }
     }
 
     #[test]
-    fn remote_dispatch_merges_byte_identical_to_direct_execution() {
-        let (orch, spec, all) = fixture("parity");
-        let fleet = fleet_for(&orch, Duration::from_secs(5), 2);
-        let reg = fleet.register("w1", orch.machine.fingerprint()).unwrap();
+    fn worker_dispatch_merges_byte_identical_to_direct_execution() {
+        let (spec, all) = fixture();
+        let fleet = fleet(Duration::from_secs(5), 2, true);
+        let reg = fleet.register("w1", fingerprint()).unwrap();
         let runs = std::thread::scope(|scope| {
-            let dispatch = scope.spawn(|| fleet.dispatch(&orch, 1, &spec, &all));
-            drain_as_worker(&fleet, &orch, reg, || dispatch.is_finished());
-            dispatch.join().unwrap().unwrap()
+            let dispatch = scope.spawn(|| fleet.dispatch(1, &spec, &all));
+            play_worker(&fleet, reg, |_| true, || dispatch.is_finished());
+            dispatch.join().unwrap()
         });
         let merged = nfi_core::merge(&runs).unwrap();
-        let direct = exec_spec(&spec, &orch.machine, orch.config).unwrap();
-        assert_eq!(merged.encode(), direct.encode());
-        assert!(fleet.events.dispatched.load(Ordering::Relaxed) >= 1);
-        assert_eq!(fleet.events.local_fallbacks.load(Ordering::Relaxed), 0);
+        assert_eq!(merged.encode(), direct(&spec).encode());
+        assert_eq!(
+            fleet.events.dispatched.load(Ordering::Relaxed),
+            1,
+            "one chunk per live worker"
+        );
+        assert_eq!(fleet.events.failed_units.load(Ordering::Relaxed), 0);
     }
 
     #[test]
-    fn no_live_workers_falls_back_to_local_execution() {
-        let (orch, spec, all) = fixture("fallback");
-        let fleet = fleet_for(&orch, Duration::from_millis(100), 2);
-        let runs = fleet.dispatch(&orch, 1, &spec, &all).unwrap();
+    fn a_poisoned_unit_is_isolated_and_every_other_outcome_matches() {
+        let (spec, all) = fixture();
+        assert!(
+            all.len() >= 3,
+            "the fixture needs neighbours for the poisoned unit"
+        );
+        let poisoned = all[all.len() / 2];
+        let fleet = fleet(Duration::from_secs(5), 1, true);
+        let reg = fleet.register("w1", fingerprint()).unwrap();
+        // The worker abandons every assignment holding the poisoned unit
+        // — as a worker that crashes on it would — and runs the rest.
+        let runs = std::thread::scope(|scope| {
+            let dispatch = scope.spawn(|| fleet.dispatch(1, &spec, &all));
+            play_worker(
+                &fleet,
+                reg,
+                |plan| plan.units.iter().all(|u| u.index != poisoned),
+                || dispatch.is_finished(),
+            );
+            dispatch.join().unwrap()
+        });
+        assert_eq!(fleet.events.failed_units.load(Ordering::Relaxed), 1);
+        // Every run came back from the worker: the fleet executes
+        // nothing itself.
+        assert_eq!(
+            fleet.events.completed.load(Ordering::Relaxed),
+            runs.len() as u64
+        );
+        assert!(
+            fleet.events.dispatched.load(Ordering::Relaxed) > all.len() as u64,
+            "the poisoned chunk split into single-unit assignments"
+        );
         let merged = nfi_core::merge(&runs).unwrap();
-        let direct = exec_spec(&spec, &orch.machine, orch.config).unwrap();
-        assert_eq!(merged.encode(), direct.encode());
-        assert!(fleet.events.local_fallbacks.load(Ordering::Relaxed) >= 1);
+        let expected = direct(&spec);
+        let lines = |run: &ShardRun| -> Vec<(usize, String)> {
+            run.outcomes
+                .iter()
+                .map(|o| (o.index, o.line.clone()))
+                .collect()
+        };
+        let mut want = lines(&expected);
+        want.retain(|(index, _)| *index != poisoned);
+        assert_eq!(lines(&merged), want, "only the poisoned unit is uncovered");
+        assert_eq!(merged.total, spec.units.len());
+    }
+
+    #[test]
+    fn without_a_live_worker_an_unsupervised_or_stopped_fleet_leaves_the_units_uncovered() {
+        let (spec, all) = fixture();
+        let unsupervised = fleet(Duration::from_millis(100), 2, false);
+        let runs = unsupervised.dispatch(1, &spec, &all);
+        assert!(runs.is_empty(), "nothing executes in the daemon");
+        // A supervised fleet waits for its workers instead — until a
+        // stop releases the dispatch.
+        let supervised = fleet(Duration::from_millis(100), 2, true);
+        let runs = std::thread::scope(|scope| {
+            let dispatch = scope.spawn(|| supervised.dispatch(1, &spec, &all));
+            std::thread::sleep(Duration::from_millis(150));
+            assert!(!dispatch.is_finished(), "waits for a worker");
+            supervised.stop();
+            dispatch.join().unwrap()
+        });
+        assert!(runs.is_empty());
+        for fleet in [&unsupervised, &supervised] {
+            let failed = fleet.events.failed_units.load(Ordering::Relaxed);
+            assert_eq!(failed, all.len() as u64);
+        }
+    }
+
+    #[test]
+    fn an_idle_poll_waits_for_work_and_stop_ends_the_wait() {
+        let (spec, all) = fixture();
+        let fleet = Fleet::new(fingerprint(), Duration::from_secs(30), 2, None, true);
+        let reg = fleet.register("w1", fingerprint()).unwrap();
+        std::thread::scope(|scope| {
+            let poll = scope.spawn(|| {
+                let started = Instant::now();
+                let lease = fleet.poll(reg.worker, reg.generation).unwrap();
+                (lease, started.elapsed())
+            });
+            std::thread::sleep(Duration::from_millis(50));
+            fleet.enqueue(9, &spec, &None, vec![all.clone()]);
+            let (lease, waited) = poll.join().unwrap();
+            assert_eq!(lease.map(|l| l.job), Some(9), "woken by the new assignment");
+            assert!(
+                waited < POLL_WAIT,
+                "answered before the wait ran out: {waited:?}"
+            );
+        });
+        let reg = fleet.register("w2", fingerprint()).unwrap();
+        std::thread::scope(|scope| {
+            let poll = scope.spawn(|| {
+                let started = Instant::now();
+                (fleet.poll(reg.worker, reg.generation), started.elapsed())
+            });
+            std::thread::sleep(Duration::from_millis(50));
+            fleet.stop();
+            let (lease, waited) = poll.join().unwrap();
+            assert_eq!(lease, Ok(None));
+            assert!(waited < POLL_WAIT, "stop ended the wait: {waited:?}");
+        });
     }
 
     #[test]
     fn heartbeat_timeout_requeues_the_lease_and_fences_the_worker() {
-        let (orch, spec, all) = fixture("timeout");
-        let fleet = fleet_for(&orch, Duration::from_millis(60), 2);
-        let reg = fleet.register("w1", orch.machine.fingerprint()).unwrap();
-        // Seed the pool directly (no dispatch thread): one assignment.
-        {
-            let mut inner = fleet.lock();
-            inner.assignments.insert(
-                1,
-                Assignment {
-                    id: 1,
-                    job: 9,
-                    indices: all.clone(),
-                    plan: spec.subset(&all).encode(),
-                    context: None,
-                    state: AssignState::Pending,
-                    requeues: 0,
-                    span: 0,
-                    dispatched_at_us: 0,
-                    result: None,
-                },
-            );
-        }
+        let (spec, all) = fixture();
+        let fleet = fleet(Duration::from_millis(60), 2, true);
+        let reg = fleet.register("w1", fingerprint()).unwrap();
+        seed_one(&fleet, &spec, &all);
         let lease = fleet.poll(reg.worker, reg.generation).unwrap().unwrap();
         assert_eq!(lease.assignment, 1);
         // The worker goes silent past the heartbeat timeout.
@@ -910,7 +1095,7 @@ def test_add():
             fleet.poll(reg.worker, reg.generation),
             Err(FleetError::Stale)
         );
-        let rejoined = fleet.register("w1", orch.machine.fingerprint()).unwrap();
+        let rejoined = fleet.register("w1", fingerprint()).unwrap();
         assert_eq!(rejoined.worker, reg.worker, "same name keeps its id");
         assert_eq!(rejoined.generation, reg.generation + 1);
         assert!(fleet
@@ -920,37 +1105,63 @@ def test_add():
     }
 
     #[test]
-    fn duplicate_result_after_requeue_keeps_the_first_bytes() {
-        let (orch, spec, all) = fixture("dup");
-        let fleet = fleet_for(&orch, Duration::from_millis(60), 2);
-        let w1 = fleet.register("w1", orch.machine.fingerprint()).unwrap();
-        {
-            let mut inner = fleet.lock();
-            inner.assignments.insert(
-                1,
-                Assignment {
-                    id: 1,
-                    job: 9,
-                    indices: all.clone(),
-                    plan: spec.subset(&all).encode(),
-                    context: None,
-                    state: AssignState::Pending,
-                    requeues: 0,
-                    span: 0,
-                    dispatched_at_us: 0,
-                    result: None,
-                },
-            );
+    fn a_lease_past_the_assignment_timeout_marks_its_worker_lost() {
+        let (spec, all) = fixture();
+        let fleet = Fleet {
+            poll_wait: Duration::from_millis(20),
+            ..Fleet::new(
+                fingerprint(),
+                Duration::from_secs(30),
+                2,
+                Some(Duration::from_millis(40)),
+                true,
+            )
+        };
+        let reg = fleet.register("local-0", fingerprint()).unwrap();
+        seed_one(&fleet, &spec, &all);
+        fleet.poll(reg.worker, reg.generation).unwrap().unwrap();
+        assert!(!fleet.is_lost("local-0"));
+        // Heartbeats keep coming — the worker is alive but hung on its
+        // lease — so only the assignment timeout can catch it.
+        let deadline = Instant::now() + Duration::from_millis(100);
+        while Instant::now() < deadline {
+            let _ = fleet.heartbeat(reg.worker, reg.generation);
+            std::thread::sleep(Duration::from_millis(5));
         }
+        assert!(fleet.is_lost("local-0"), "the hung worker is lost");
+        assert!(!fleet.is_lost("never-registered"));
+        assert_eq!(fleet.lock().assignments[&1].state, AssignState::Pending);
+        assert_eq!(fleet.events.workers_lost.load(Ordering::Relaxed), 1);
+        assert_eq!(fleet.events.requeued.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn losing_an_exited_worker_requeues_its_lease_at_once() {
+        let (spec, all) = fixture();
+        let fleet = fleet(Duration::from_secs(30), 2, true);
+        let reg = fleet.register("local-0", fingerprint()).unwrap();
+        seed_one(&fleet, &spec, &all);
+        fleet.poll(reg.worker, reg.generation).unwrap().unwrap();
+        fleet.lose("local-0");
+        fleet.lose("never-registered");
+        assert!(fleet.is_lost("local-0"));
+        assert_eq!(fleet.lock().assignments[&1].state, AssignState::Pending);
+        assert_eq!(fleet.events.workers_lost.load(Ordering::Relaxed), 1);
+        assert_eq!(fleet.events.requeued.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn duplicate_result_after_requeue_keeps_the_first_bytes() {
+        let (spec, all) = fixture();
+        let fleet = fleet(Duration::from_millis(60), 2, true);
+        let w1 = fleet.register("w1", fingerprint()).unwrap();
+        seed_one(&fleet, &spec, &all);
         let lease = fleet.poll(w1.worker, w1.generation).unwrap().unwrap();
         std::thread::sleep(Duration::from_millis(120));
-        let w2 = fleet.register("w2", orch.machine.fingerprint()).unwrap();
+        let w2 = fleet.register("w2", fingerprint()).unwrap();
         let release = fleet.poll(w2.worker, w2.generation).unwrap().unwrap();
         assert_eq!(release.assignment, lease.assignment);
-        let sub = CampaignSpec::decode(&release.plan).unwrap();
-        let doc = exec_spec(&sub, &orch.machine, orch.config)
-            .unwrap()
-            .encode();
+        let doc = execute(&release.plan);
         assert_eq!(
             fleet.complete(w2.worker, w2.generation, 1, Ok((doc.clone(), Vec::new()))),
             Ok(Completion::Accepted)
@@ -974,31 +1185,14 @@ def test_add():
 
     #[test]
     fn stale_generation_is_rejected_after_rejoin() {
-        let (orch, spec, all) = fixture("stale");
-        let fleet = fleet_for(&orch, Duration::from_secs(5), 2);
-        let old = fleet.register("w", orch.machine.fingerprint()).unwrap();
-        {
-            let mut inner = fleet.lock();
-            inner.assignments.insert(
-                1,
-                Assignment {
-                    id: 1,
-                    job: 9,
-                    indices: all.clone(),
-                    plan: spec.subset(&all).encode(),
-                    context: None,
-                    state: AssignState::Pending,
-                    requeues: 0,
-                    span: 0,
-                    dispatched_at_us: 0,
-                    result: None,
-                },
-            );
-        }
+        let (spec, all) = fixture();
+        let fleet = fleet(Duration::from_secs(5), 2, true);
+        let old = fleet.register("w", fingerprint()).unwrap();
+        seed_one(&fleet, &spec, &all);
         let lease = fleet.poll(old.worker, old.generation).unwrap().unwrap();
         // The worker restarts and re-registers under the same name:
         // its old lease requeues and its old generation is fenced.
-        let new = fleet.register("w", orch.machine.fingerprint()).unwrap();
+        let new = fleet.register("w", fingerprint()).unwrap();
         assert_eq!(new.generation, old.generation + 1);
         assert_eq!(
             fleet.heartbeat(old.worker, old.generation),
@@ -1024,73 +1218,28 @@ def test_add():
     }
 
     #[test]
-    fn requeue_cap_exhaustion_executes_locally_byte_identical() {
-        let (orch, spec, all) = fixture("cap");
-        // Cap 0: a single requeue already exceeds the budget.
-        let fleet = fleet_for(&orch, Duration::from_millis(60), 0);
-        let reg = fleet.register("w1", orch.machine.fingerprint()).unwrap();
-        let runs = std::thread::scope(|scope| {
-            let dispatch = scope.spawn(|| fleet.dispatch(&orch, 1, &spec, &all));
-            // Lease everything and never report: each poll abandons the
-            // lease the previous one handed out, that one requeue exceeds
-            // the cap, and the lane runs every assignment locally. (The
-            // polls keep the worker live; no heartbeat timeout is
-            // involved.)
-            while !dispatch.is_finished() {
-                match fleet.poll(reg.worker, reg.generation) {
-                    Ok(Some(_)) => {}
-                    Ok(None) => std::thread::sleep(Duration::from_millis(5)),
-                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                }
-            }
-            dispatch.join().unwrap().unwrap()
-        });
-        let merged = nfi_core::merge(&runs).unwrap();
-        let direct = exec_spec(&spec, &orch.machine, orch.config).unwrap();
-        assert_eq!(merged.encode(), direct.encode());
-        assert!(fleet.events.local_fallbacks.load(Ordering::Relaxed) >= 1);
-        assert!(fleet.events.requeued.load(Ordering::Relaxed) >= 1);
-    }
-
-    #[test]
     fn a_lease_abandoned_by_a_polling_worker_requeues_and_completes() {
-        let (orch, spec, all) = fixture("abandon");
-        let fleet = fleet_for(&orch, Duration::from_millis(500), 2);
-        let reg = fleet.register("w1", orch.machine.fingerprint()).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
+        let (spec, all) = fixture();
+        let fleet = fleet(Duration::from_millis(500), 2, true);
+        let reg = fleet.register("w1", fingerprint()).unwrap();
         let runs = std::thread::scope(|scope| {
-            let dispatch = scope.spawn(|| fleet.dispatch(&orch, 1, &spec, &all));
+            let dispatch = scope.spawn(|| fleet.dispatch(1, &spec, &all));
             // Take a lease and drop it, as `nfi worker` does when its
             // result POST fails, then serve the pool obediently.
-            while fleet.poll(reg.worker, reg.generation).unwrap().is_none() {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            drain_as_worker(&fleet, &orch, reg, || {
-                dispatch.is_finished() || Instant::now() > deadline
-            });
-            // Should the dropped lease never requeue, the worker goes
-            // silent at the deadline, and the heartbeat timeout ends the
-            // dispatch through the local fallback asserted against below.
-            dispatch.join().unwrap().unwrap()
+            while fleet.poll(reg.worker, reg.generation).unwrap().is_none() {}
+            play_worker(&fleet, reg, |_| true, || dispatch.is_finished());
+            dispatch.join().unwrap()
         });
-        assert_eq!(
-            fleet.events.local_fallbacks.load(Ordering::Relaxed),
-            0,
-            "the abandoned lease must requeue to the polling worker"
-        );
         assert!(fleet.events.requeued.load(Ordering::Relaxed) >= 1);
+        assert_eq!(fleet.events.failed_units.load(Ordering::Relaxed), 0);
         let merged = nfi_core::merge(&runs).unwrap();
-        let direct = exec_spec(&spec, &orch.machine, orch.config).unwrap();
-        assert_eq!(merged.encode(), direct.encode());
+        assert_eq!(merged.encode(), direct(&spec).encode());
     }
 
     #[test]
     fn registration_rejects_a_mismatched_machine_fingerprint() {
-        let (orch, _, _) = fixture("fp");
-        let fleet = fleet_for(&orch, Duration::from_secs(5), 2);
-        let err = fleet
-            .register("w1", orch.machine.fingerprint() ^ 1)
-            .unwrap_err();
+        let fleet = fleet(Duration::from_secs(5), 2, true);
+        let err = fleet.register("w1", fingerprint() ^ 1).unwrap_err();
         assert!(matches!(err, FleetError::Mismatch(_)), "{err}");
     }
 }

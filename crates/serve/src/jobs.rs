@@ -104,8 +104,8 @@ pub struct Job {
     pub deadline_ms: Option<u64>,
     /// When the job entered (or re-entered, after a restart) the queue.
     pub accepted_at: Instant,
-    /// Units that exhausted every worker retry and finished with a
-    /// per-unit failure outcome (0 until finished).
+    /// Units the fleet isolated and left uncovered after every requeue
+    /// (0 until finished).
     pub failed_units: usize,
     /// The job's span tree, filled as it moves accept → queue → lane →
     /// orchestrator phases. Jobs restored from the journal get a fresh
@@ -193,7 +193,7 @@ impl JobTable {
         let spec = Arc::new(spec);
         // The submit handler pushes the request's trace before calling
         // in; adopting it here makes the access-log trace id, the job's
-        // trace endpoint, and the worker children's NFI_TRACE one id.
+        // trace endpoint, and the workers' lease context one id.
         let trace = nfi_telemetry::trace::current_context()
             .map(|(trace, _)| trace)
             .unwrap_or_else(|| Trace::new(TraceId::mint()));
@@ -319,8 +319,8 @@ impl JobTable {
         StartOutcome::Run(Arc::clone(&job.spec))
     }
 
-    /// Records a finished run. Units neither replayed nor executed
-    /// exhausted every worker retry — they surface as `failed_units`.
+    /// Records a finished run. Units neither replayed nor executed were
+    /// isolated past their requeue cap — they surface as `failed_units`.
     pub fn finish(&self, id: u64, replayed: usize, executed: usize, store_errors: usize) {
         let mut table = self.lock();
         if let Some(job) = table.jobs.get_mut(&id) {

@@ -2,10 +2,10 @@
 //!
 //! The long-running front end over the campaign machinery: a
 //! dependency-free HTTP/1.1 daemon (`nfi serve`) that accepts campaign
-//! jobs, executes them through the incremental store with **spawned
-//! `nfi campaign exec --shard i/n` child processes** as workers, and
-//! serves back merged outcome documents that are byte-identical to an
-//! offline `nfi campaign run --state-dir` over the same state dir.
+//! jobs, executes them through the incremental store on **`nfi worker`
+//! processes** it starts and supervises itself, and serves back merged
+//! outcome documents that are byte-identical to an offline
+//! `nfi campaign run --state-dir` over the same state dir.
 //!
 //! ```text
 //!           POST /v1/campaigns          GET /v1/campaigns/:id[/document]
@@ -18,8 +18,8 @@
 //!         │ per-(program, machine-fp) segment locks
 //!         │ replay hits from nfi_core::store
 //!         ▼
-//!   [`worker::WorkerPool`] ── spawns ──▶ nfi campaign exec --shard 0/n
-//!         │   (watchdog + retry + per-unit isolation)
+//!   [`fleet::Fleet`] ◀── long-poll / result ── nfi worker (local children
+//!         │   (lease requeue + per-unit isolation)   and remote nodes)
 //!         ▼
 //!   merge → persist segment → document replays from the store
 //! ```
@@ -45,28 +45,28 @@
 //! * per-request read deadlines bound slowloris clients (`408`), and
 //!   per-job queue deadlines fail work that out-waited its budget
 //!   instead of running it late;
-//! * hung or crashed worker children are watchdog-killed and retried
-//!   with capped exponential backoff; a poisoned unit degrades to a
-//!   per-unit failure outcome instead of wedging a lane.
+//! * crashed, hung or lost workers have their leases requeued, local
+//!   children are replaced, and a poisoned unit degrades to a per-unit
+//!   failure outcome instead of wedging a lane or running in the daemon.
 //!
-//! Every shed, rejection, kill, retry, and expiry is counted in
+//! Every shed, rejection, requeue, loss, and expiry is counted in
 //! `GET /v1/metrics`.
 //!
-//! Store misses execute through one of three dispatch tiers selected
-//! per job ([`nfi_core::DispatchTier`]): in-process threads, spawned
-//! `nfi campaign exec` children, or — when remote `nfi worker` nodes
-//! are registered — the [`fleet`], which hash-shards the miss set over
-//! the fleet and merges the returned shard documents byte-identically
-//! to the local paths.
+//! Store misses execute through one of two dispatch tiers selected per
+//! job ([`nfi_core::DispatchTier`]): the [`fleet`] of `nfi worker`
+//! processes — the daemon's [`local`] children plus any remote nodes —
+//! which hash-shards the miss set and merges the returned shard
+//! documents byte-identically to the offline path; or, only in a
+//! daemon built without a worker binary (the library default) and with
+//! no live remote worker, in-process threads.
 //!
 //! Module map: [`http`] (bounded request/response codec), [`router`]
 //! (API handlers), [`auth`] (bearer tokens + tenancy), [`limit`]
 //! (token-bucket rate limiter), [`jobs`] (job table), [`queue`]
 //! (tenant-fair priority queue), [`journal`] (crash-safe job journal),
-//! [`worker`] (supervised process-level worker pool), [`fleet`]
-//! (remote-worker registry + assignment pool), [`metrics`] (the one
-//! table behind `/v1/metrics` and `/metrics`), [`client`] (test
-//! client).
+//! [`fleet`] (worker registry + assignment pool), [`local`] (the
+//! supervised local workers), [`metrics`] (the one table behind
+//! `/v1/metrics` and `/metrics`), [`client`] (test and worker client).
 
 pub mod auth;
 pub mod client;
@@ -75,27 +75,26 @@ pub mod http;
 pub mod jobs;
 pub mod journal;
 pub mod limit;
+pub mod local;
 pub mod metrics;
 pub mod queue;
 pub mod router;
-pub mod worker;
 
 use fleet::Fleet;
 use jobs::{JobStatus, JobTable, StartOutcome};
 use journal::{Journal, JournalOutcome};
 use limit::{Admission, RateLimiter};
-use nfi_core::{DispatchTier, IncrementalRun, Orchestrator};
+use nfi_core::{DispatchTier, IncrementalRun, Orchestrator, ShardRun};
 use nfi_sfi::CampaignSpec;
 use nfi_telemetry::{families, log::log, trace, Level, Span, SpanRecord, Trace, TraceId};
 use queue::{JobQueue, Priority, PushOutcome};
 use std::collections::HashMap;
 use std::io::{BufReader, Read};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
-use worker::{WorkerMode, WorkerPool};
 
 /// Default cap on concurrent connections ([`ServeConfig::max_connections`]).
 pub const MAX_CONNECTIONS: usize = 64;
@@ -110,12 +109,15 @@ const SHED_RETRY_AFTER_SECS: u64 = 2;
 pub struct ServeConfig {
     /// Incremental-store state directory (shared with offline runs).
     pub state_dir: PathBuf,
-    /// Workers per job (child processes, or threads in-process).
+    /// Local `nfi worker` children per lane (threads per job when
+    /// misses execute in-process).
     pub workers: usize,
     /// Concurrent scheduler lanes (jobs executing at once).
     pub lanes: usize,
-    /// How store misses execute.
-    pub mode: WorkerMode,
+    /// The `nfi` binary the daemon starts `lanes × workers` local
+    /// `nfi worker` children from. `None` executes misses in-process
+    /// unless remote workers are live.
+    pub worker_binary: Option<PathBuf>,
     /// Request-body cap in bytes.
     pub max_body: usize,
     /// Default scheduler seed for submissions that don't name one.
@@ -143,33 +145,30 @@ pub struct ServeConfig {
     /// How long one request may take to arrive in full (slowloris
     /// bound; also the idle keep-alive timeout and the write timeout).
     pub request_timeout: Duration,
-    /// Watchdog budget per worker child (`None` = never killed).
-    pub child_timeout: Option<Duration>,
-    /// Fresh-child retries after a failed worker attempt.
-    pub worker_retries: usize,
-    /// Remote-worker silence budget before the fleet marks the worker
-    /// lost and requeues its leases.
+    /// Worker silence budget before the fleet marks the worker lost
+    /// and requeues its leases.
     pub heartbeat_timeout: Duration,
-    /// Requeues per fleet assignment before the dispatching lane runs
-    /// it locally.
+    /// Requeues per fleet assignment before it splits into single-unit
+    /// assignments, and per unit before the unit is left uncovered.
     pub assignment_requeues: u32,
-    /// Optional per-lease execution budget for fleet assignments
+    /// Optional per-lease execution budget: a worker holding a lease
+    /// longer is marked lost, and a local child is killed and replaced
     /// (`None` = heartbeat-only failure detection).
     pub assignment_timeout: Option<Duration>,
 }
 
 impl ServeConfig {
-    /// Defaults: one worker, one lane, in-process mode (callers that
-    /// can spawn should set [`WorkerMode::current_exe`]), the codec's
-    /// body cap, and every hardening knob at its permissive default —
-    /// open auth, no rate limit, unbounded queue, no deadlines, no
-    /// child watchdog, two worker retries.
+    /// Defaults: one worker, one lane, no worker binary (callers that
+    /// can spawn `nfi worker` should set one), the codec's body cap,
+    /// and every hardening knob at its permissive default — open auth,
+    /// no rate limit, unbounded queue, no deadlines, no assignment
+    /// timeout, two requeues.
     pub fn new(state_dir: impl Into<PathBuf>) -> ServeConfig {
         ServeConfig {
             state_dir: state_dir.into(),
             workers: 1,
             lanes: 1,
-            mode: WorkerMode::InProcess,
+            worker_binary: None,
             max_body: http::DEFAULT_MAX_BODY,
             seed: nfi_pylite::MachineConfig::default().seed,
             auth: None,
@@ -181,8 +180,6 @@ impl ServeConfig {
             tenant_max_programs: 0,
             default_deadline_ms: None,
             request_timeout: Duration::from_secs(30),
-            child_timeout: None,
-            worker_retries: 2,
             heartbeat_timeout: Duration::from_secs(5),
             assignment_requeues: 2,
             assignment_timeout: None,
@@ -208,6 +205,7 @@ struct Counters {
     connections_shed: AtomicU64,
     timeouts: AtomicU64,
     deadline_expiries: AtomicU64,
+    local_fallbacks: AtomicU64,
 }
 
 /// What the startup journal replay recovered (fixed after bind).
@@ -229,12 +227,11 @@ pub struct ServerState {
     /// The orchestrator every lane runs through — shared so its
     /// in-process segment-lock table covers all lanes.
     pub orch: Orchestrator,
-    /// The worker pool (lanes share it; its event counters feed
-    /// `/v1/metrics`).
-    pub pool: WorkerPool,
-    /// The remote-worker fleet: registry, assignment pool, and the
-    /// remote dispatch tier the lanes use while workers are live.
+    /// The worker fleet: registry, assignment pool, and the dispatch
+    /// tier of every daemon with a worker binary.
     pub fleet: Fleet,
+    /// The local workers' per-daemon secret ([`local::write_token`]).
+    local_token: Option<auth::AuthTokens>,
     limiter: Option<RateLimiter>,
     journal: Mutex<Journal>,
     recovered: Recovered,
@@ -242,7 +239,7 @@ pub struct ServerState {
     shutdown: AtomicBool,
     /// Exclusive `flock` on `<state_dir>/serve.lock`, held until
     /// [`ServeHandle::stop`] releases it (or the kernel does, on
-    /// death). The journal and the worker exchange dir are
+    /// death). The journal and the local worker secret are
     /// daemon-owned, so one state dir belongs to at most one daemon at
     /// a time; offline `campaign run`s still share the dir through the
     /// segment locks.
@@ -459,19 +456,61 @@ impl ServerState {
         metrics::render_prometheus(self, &metrics::caches(), &histograms)
     }
 
-    /// The dispatch tier the next job would execute under: remote
-    /// workers whenever any are live, else whatever the worker pool is
-    /// configured for. Re-evaluated per job, so the daemon rides fleet
-    /// membership up and down without restarting.
+    /// The dispatch tier the next job would execute under: the fleet
+    /// whenever the daemon starts local workers or any remote worker is
+    /// live, else in-process threads. Re-evaluated per job, so a daemon
+    /// without a worker binary rides remote fleet membership up and
+    /// down without restarting.
     pub fn dispatch_tier(&self) -> DispatchTier {
-        if self.fleet.live_workers() > 0 {
+        if self.config.worker_binary.is_some() || self.fleet.live_workers() > 0 {
             DispatchTier::RemoteWorkers
         } else {
-            match &self.pool.mode {
-                WorkerMode::InProcess => DispatchTier::LocalThreads,
-                WorkerMode::Spawn { .. } => DispatchTier::LocalProcesses,
+            DispatchTier::LocalThreads
+        }
+    }
+
+    /// Executes the `missing` units of `spec` on the tier
+    /// [`Self::dispatch_tier`] picks: the dispatcher of job runs and
+    /// document rebuilds alike.
+    ///
+    /// # Errors
+    ///
+    /// Reports an in-process execution failure.
+    fn dispatch(
+        &self,
+        job: u64,
+        spec: &CampaignSpec,
+        missing: &[usize],
+    ) -> Result<Vec<ShardRun>, String> {
+        let tier = self.dispatch_tier();
+        log(
+            Level::Debug,
+            "dispatch_tier",
+            &[("id", &job.to_string()), ("tier", tier.label())],
+        );
+        match tier {
+            DispatchTier::RemoteWorkers => Ok(self.fleet.dispatch(job, spec, missing)),
+            DispatchTier::LocalThreads => {
+                self.counters
+                    .local_fallbacks
+                    .fetch_add(1, Ordering::Relaxed);
+                self.orch.dispatch(spec, missing)
             }
         }
+    }
+
+    /// Re-executes a finished job whose segment no longer replays in
+    /// full, **read-only**: every unit is dispatched and the runs
+    /// merge, but nothing is saved — a read endpoint must not prune
+    /// segments, or two finished jobs planned from different sources of
+    /// one program would evict each other's on alternating fetches.
+    ///
+    /// # Errors
+    ///
+    /// Reports an in-process execution or merge failure.
+    pub fn rebuild_document(&self, job: u64, spec: &CampaignSpec) -> Result<String, String> {
+        let all: Vec<usize> = spec.units.iter().map(|u| u.index).collect();
+        Ok(nfi_core::merge(&self.dispatch(job, spec, &all)?)?.encode())
     }
 }
 
@@ -506,32 +545,20 @@ impl Server {
             seed: config.seed,
             ..orch
         })?;
-        let pool = WorkerPool {
-            child_timeout: config.child_timeout,
-            max_retries: config.worker_retries,
-            ..WorkerPool::new(
-                config.mode.clone(),
-                config.workers,
-                config.state_dir.join("tmp"),
-            )
-        };
-        // Exchange files left by a killed daemon are garbage by
-        // construction (their names carry the dead pid, so no future
-        // dispatch reuses them) — sweep the work dir before serving so
-        // crash/restart cycles don't grow the state dir without bound.
-        // The daemon lock makes this safe: no live daemon shares the
-        // dir, and orphan children still writing keep their unlinked
-        // fds while new files cannot collide with them.
-        let _ = std::fs::remove_dir_all(&pool.work_dir);
         // The fleet admits only workers whose machine fingerprint
-        // matches the orchestrator's — the precondition for remote
+        // matches the orchestrator's — the precondition for worker
         // shard documents merging byte-identically.
         let fleet = Fleet::new(
             orch.machine.fingerprint(),
             config.heartbeat_timeout,
             config.assignment_requeues,
             config.assignment_timeout,
+            config.worker_binary.is_some(),
         );
+        let local_token = match &config.worker_binary {
+            Some(_) => Some(local::write_token(&config.state_dir)?),
+            None => None,
+        };
         let (journal, replay) = Journal::open(&config.state_dir)?;
         let listener =
             TcpListener::bind(&addr).map_err(|e| format!("cannot bind {addr:?}: {e}"))?;
@@ -548,8 +575,8 @@ impl Server {
             jobs: JobTable::new(),
             queue: JobQueue::new(),
             orch,
-            pool,
             fleet,
+            local_token,
             limiter,
             journal: Mutex::new(journal),
             recovered: Recovered {
@@ -625,13 +652,29 @@ impl Server {
         Arc::clone(&self.state)
     }
 
-    /// Serves until shut down: starts the scheduler lanes, then
-    /// accepts connections, one handler thread each.
+    /// Serves until shut down: starts the local workers and the
+    /// scheduler lanes, then accepts connections, one handler thread
+    /// each. The local workers outlive the lanes, which drain every
+    /// accepted job before this returns.
     ///
     /// # Errors
     ///
-    /// Reports lane/accept-loop setup failures.
+    /// Reports a worker binary that cannot be spawned and lane or
+    /// accept-loop setup failures.
     pub fn run(self) -> Result<(), String> {
+        let supervisor = match &self.state.config.worker_binary {
+            Some(binary) => Some(supervise(
+                Arc::clone(&self.state),
+                binary,
+                self.local_addr()?,
+            )?),
+            None => None,
+        };
+        // Each local worker holds two keep-alive connections (its polls
+        // and its heartbeats) on top of the clients' cap.
+        let config = &self.state.config;
+        let cap = config.max_connections
+            + 2 * usize::from(supervisor.is_some()) * config.lanes * config.workers;
         let mut lanes = Vec::with_capacity(self.state.config.lanes);
         for lane in 0..self.state.config.lanes {
             let state = Arc::clone(&self.state);
@@ -653,9 +696,7 @@ impl Server {
                 continue;
             };
             let state = Arc::clone(&self.state);
-            if state.counters.connections.fetch_add(1, Ordering::SeqCst)
-                >= state.config.max_connections
-            {
+            if state.counters.connections.fetch_add(1, Ordering::SeqCst) >= cap {
                 state
                     .counters
                     .connections_shed
@@ -688,11 +729,17 @@ impl Server {
                     .fetch_sub(1, Ordering::SeqCst);
             }
         }
-        // Drain: no new pushes, the lanes finish accepted jobs.
+        // Drain: no new pushes, the lanes finish accepted jobs on the
+        // still-running workers; then the workers go and idle polls end.
         self.state.queue.shutdown();
         for lane in lanes {
             let _ = lane.join();
         }
+        if let Some((stop, thread)) = supervisor {
+            drop(stop);
+            let _ = thread.join();
+        }
+        self.state.fleet.stop();
         Ok(())
     }
 
@@ -733,8 +780,9 @@ impl ServeHandle {
 
     /// Stops the daemon: the queue drains its accepted jobs across the
     /// lanes, the accept loop is woken and exits, the serving thread is
-    /// joined, open connections are closed and their threads finish,
-    /// and `serve.lock` is released — so a new daemon can bind the same
+    /// joined (the local workers are killed and reaped by then), open
+    /// connections are closed and their threads finish, and
+    /// `serve.lock` is released — so a new daemon can bind the same
     /// state dir as soon as this returns.
     pub fn stop(mut self) {
         self.shutdown();
@@ -773,8 +821,29 @@ impl Drop for ServeHandle {
     }
 }
 
+/// Starts the local workers and the thread that supervises them until
+/// the returned sender is dropped; the thread's exit kills them.
+fn supervise(
+    state: Arc<ServerState>,
+    binary: &Path,
+    addr: SocketAddr,
+) -> Result<(mpsc::Sender<()>, std::thread::JoinHandle<()>), String> {
+    let count = state.config.lanes * state.config.workers;
+    let mut workers = local::LocalWorkers::start(binary, addr, &state.config.state_dir, count)?;
+    let (stop, stopped) = mpsc::channel::<()>();
+    let thread = std::thread::Builder::new()
+        .name("nfi-serve-supervisor".into())
+        .spawn(move || {
+            while let Err(mpsc::RecvTimeoutError::Timeout) = stopped.recv_timeout(local::CHECK) {
+                workers.check(&state.fleet);
+            }
+        })
+        .map_err(|e| format!("cannot start the worker supervisor: {e}"))?;
+    Ok((stop, thread))
+}
+
 /// Takes the exclusive daemon `flock` on `<state_dir>/serve.lock`.
-/// The journal and the worker exchange dir have exactly one owner, so
+/// The journal and the local worker secret have exactly one owner, so
 /// a second daemon on the same state dir is refused at bind instead of
 /// silently re-running the first daemon's queued jobs and compacting
 /// its journal records away. Offline `campaign run`s are unaffected —
@@ -787,8 +856,8 @@ impl Drop for ServeHandle {
 /// uncreatable/unwritable lock file, or a filesystem without `flock`
 /// support. Unlike the best-effort segment-lock file level, this does
 /// **not** degrade to unguarded: an unprotected second daemon would
-/// sweep the first one's in-flight worker files and rename its journal
-/// out from under its append handle, losing acknowledged jobs.
+/// replace the first one's worker secret and rename its journal out
+/// from under its append handle, losing acknowledged jobs.
 fn acquire_daemon_lock(state_dir: &std::path::Path) -> Result<std::fs::File, String> {
     std::fs::create_dir_all(state_dir)
         .map_err(|e| format!("cannot create state dir {}: {e}", state_dir.display()))?;
@@ -816,7 +885,7 @@ fn acquire_daemon_lock(state_dir: &std::path::Path) -> Result<std::fs::File, Str
 }
 
 /// One scheduler lane: pops job ids (tenant-fair, priority-ordered),
-/// runs each through the shared worker pool and incremental store,
+/// runs each through the fleet and the incremental store,
 /// records the outcome. A job that out-waited its queue deadline fails
 /// here — counted, journaled — instead of running late. Lanes compete
 /// for the queue head; jobs on the same (program, machine-fp) segment
@@ -851,7 +920,7 @@ fn scheduler_loop(state: &ServerState) {
         c.running.fetch_add(1, Ordering::Relaxed);
         // Observe the job's queue residency and make its trace current
         // for this lane, so the orchestrator's phase spans (and the
-        // worker children's echoed spans) land in the job's tree.
+        // workers' echoed spans) land in the job's tree.
         let _ctx = state.jobs.get(id).map(|job| {
             let wait_us = job
                 .accepted_at
@@ -872,25 +941,10 @@ fn scheduler_loop(state: &ServerState) {
             trace::push_context(trace, 0)
         });
         let run_span = Span::enter("run");
-        // Tier selection per job: live remote workers take the miss
-        // set; otherwise the local pool (threads or spawned children)
-        // does. All three tiers share the run_spec_with seam, so the
-        // merged document is byte-identical regardless of the choice.
-        let tier = state.dispatch_tier();
-        log(
-            Level::Debug,
-            "dispatch_tier",
-            &[("id", &id.to_string()), ("tier", tier.label())],
-        );
-        let result = match tier {
-            DispatchTier::RemoteWorkers => state.orch.run_spec_with(&spec, |spec, missing| {
-                state.fleet.dispatch(&state.orch, id, spec, missing)
-            }),
-            DispatchTier::LocalThreads | DispatchTier::LocalProcesses => {
-                state.pool.run_job(&state.orch, id, &spec)
-            }
-        };
-        match result {
+        let run = state
+            .orch
+            .run_spec_with(&spec, |spec, missing| state.dispatch(id, spec, missing));
+        match run {
             Ok(run) => state.record_done(id, &run),
             Err(message) => state.record_failed(id, message),
         }
@@ -1102,7 +1156,16 @@ fn admit_and_route(
     request: &http::Request,
     peer: Option<IpAddr>,
 ) -> (http::Response, String) {
-    if let (Some(limiter), Some(ip)) = (&state.limiter, peer) {
+    // The daemon's own workers carry its per-daemon secret. They act as
+    // the worker tenant and skip the per-client rate limit: they share
+    // the loopback address with local clients, whose bucket their
+    // polls must not drain.
+    let authorization = request.header("authorization");
+    let local = state
+        .local_token
+        .as_ref()
+        .is_some_and(|t| t.authenticate(authorization).is_some());
+    if let (Some(limiter), Some(ip), false) = (&state.limiter, peer, local) {
         if let Admission::Shed { retry_after_secs } = limiter.allow(ip) {
             state.counters.rate_limited.fetch_add(1, Ordering::Relaxed);
             return (
@@ -1112,8 +1175,9 @@ fn admit_and_route(
         }
     }
     let tenant = match &state.config.auth {
+        _ if local => router::WORKER_TENANT.to_string(),
         None => String::new(),
-        Some(tokens) => match tokens.authenticate(request.header("authorization")) {
+        Some(tokens) => match tokens.authenticate(authorization) {
             Some(tenant) => tenant.to_string(),
             // The liveness probe stays open — load balancers and
             // operators need it before they have tokens. It leaks

@@ -218,20 +218,6 @@ pub const METRICS: &[Metric] = &[
         get: |s| load(&s.counters.timeouts),
     },
     Metric {
-        json: ("retry", "retries"),
-        prom: ("nfi_worker_events_total", Some(("kind", "retry"))),
-        kind: Kind::Counter,
-        help: WORKER_HELP,
-        get: |s| load(&s.pool.events.retries),
-    },
-    Metric {
-        json: ("retry", "watchdog_kills"),
-        prom: ("nfi_worker_events_total", Some(("kind", "watchdog_kill"))),
-        kind: Kind::Counter,
-        help: WORKER_HELP,
-        get: |s| load(&s.pool.events.watchdog_kills),
-    },
-    Metric {
         json: ("retry", "deadline_expiries"),
         prom: ("nfi_worker_events_total", Some(("kind", "deadline_expiry"))),
         kind: Kind::Counter,
@@ -243,13 +229,13 @@ pub const METRICS: &[Metric] = &[
         prom: ("nfi_worker_events_total", Some(("kind", "failed_unit"))),
         kind: Kind::Counter,
         help: WORKER_HELP,
-        get: |s| load(&s.pool.events.failed_units),
+        get: |s| load(&s.fleet.events.failed_units),
     },
     Metric {
         json: ("fleet", "workers_live"),
         prom: ("nfi_fleet_workers", Some(("state", "live"))),
         kind: Kind::Gauge,
-        help: "Registered remote workers, by liveness state.",
+        help: "Registered workers, by liveness state.",
         // Marks timed-out workers lost first, so the gauge is current
         // even on an idle daemon.
         get: |s| s.fleet.live_workers() as u64,
@@ -332,7 +318,7 @@ pub const METRICS: &[Metric] = &[
         ),
         kind: Kind::Counter,
         help: FLEET_ASSIGN_HELP,
-        get: |s| load(&s.fleet.events.local_fallbacks),
+        get: |s| load(&s.counters.local_fallbacks),
     },
 ];
 
@@ -506,7 +492,7 @@ mod tests {
     const JSON: &str = include_str!("../tests/fixtures/metrics.json");
     const PROM: &str = include_str!("../tests/fixtures/metrics.prom");
 
-    /// A bound daemon whose 37 numbers are all distinct, so a getter
+    /// A bound daemon whose 35 numbers are all distinct, so a getter
     /// that reads another row's source shows up in its value.
     fn bound_state(tag: &str) -> (Server, std::path::PathBuf) {
         let dir = std::env::temp_dir().join(format!("nfi-metrics-{tag}-{}", std::process::id()));
@@ -540,7 +526,7 @@ mod tests {
                 .unwrap();
         }
         s.counters.running.store(5, Ordering::Relaxed);
-        let (c, f, w) = (&s.counters, &s.fleet.events, &s.pool.events);
+        let (c, f) = (&s.counters, &s.fleet.events);
         for (counter, value) in [
             (&c.submitted, 17),
             (&c.completed, 11),
@@ -555,10 +541,8 @@ mod tests {
             (&c.queue_shed, 53),
             (&c.connections_shed, 59),
             (&c.timeouts, 61),
-            (&w.retries, 67),
-            (&w.watchdog_kills, 71),
             (&c.deadline_expiries, 73),
-            (&w.failed_units, 79),
+            (&f.failed_units, 79),
             (&f.workers_lost, 83),
             (&f.registrations, 89),
             (&f.heartbeats, 101),
@@ -569,7 +553,7 @@ mod tests {
             (&f.failed, 127),
             (&f.duplicate_results, 131),
             (&f.stale_rejections, 137),
-            (&f.local_fallbacks, 149),
+            (&c.local_fallbacks, 149),
         ] {
             counter.store(value, Ordering::Relaxed);
         }

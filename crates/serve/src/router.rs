@@ -24,11 +24,13 @@
 //! job visibility per tenant end to end; a job owned by another tenant
 //! answers `404`, indistinguishable from a job that never existed.
 //!
-//! The `/v1/workers` surface is for `nfi worker` nodes, not tenants:
-//! on an authenticated daemon it requires a token under the dedicated
-//! `worker` tenant (provision `worker:<token>` lines in the token
-//! file), and any other tenant gets the same `404` an unknown route
-//! would — campaign tenants cannot probe or join the fleet.
+//! The `/v1/workers` surface is for `nfi worker` processes, not
+//! tenants: on an authenticated daemon it requires a token under the
+//! dedicated `worker` tenant (the daemon's own local workers carry a
+//! per-daemon secret; provision `worker:<token>` lines in the token
+//! file for remote ones), and any other tenant gets the same `404` an
+//! unknown route would — campaign tenants cannot probe or join the
+//! fleet.
 
 use crate::fleet::{Completion, FleetError};
 use crate::http::{Request, Response};
@@ -228,15 +230,13 @@ fn status(state: &ServerState, id: u64, tenant: &str) -> Response {
 /// segment on every fetch. The fast path is a pure replay (read the
 /// segment, re-emit the stored lines verbatim, merge); a segment that
 /// can no longer replay fully — pruned by a later run of the same
-/// program, corrupted on disk — degrades to a **read-only** full
-/// re-execution through the canonical encoder. The fallback
-/// deliberately skips the store's merge-and-persist path: a read
-/// endpoint must not save (and thereby prune) segments, or two
-/// finished jobs planned from different sources of one program would
-/// evict each other's segments on alternating fetches. Either way the
-/// response is byte-identical to the document the original run
-/// produced, which is also what makes finished jobs restored from the
-/// journal indistinguishable from jobs finished in this process.
+/// program, left partial by `failed_units`, corrupted on disk —
+/// degrades to a **read-only** re-execution on the workers
+/// ([`crate::ServerState::rebuild_document`]), never on this
+/// connection thread. Either way the response is byte-identical to the
+/// document the original run produced, which is also what makes
+/// finished jobs restored from the journal indistinguishable from jobs
+/// finished in this process.
 fn document(state: &ServerState, id: u64, tenant: &str) -> Response {
     let Some(job) = state.jobs.get(id) else {
         return Response::error(404, &format!("no campaign job {id}"));
@@ -247,8 +247,8 @@ fn document(state: &ServerState, id: u64, tenant: &str) -> Response {
     match &job.status {
         JobStatus::Done => match state.orch.replay_full(&job.spec) {
             Some(doc) => Response::jsonl(200, doc),
-            None => match nfi_core::exec_spec(&job.spec, &state.orch.machine, state.orch.config) {
-                Ok(run) => Response::jsonl(200, run.encode()),
+            None => match state.rebuild_document(id, &job.spec) {
+                Ok(doc) => Response::jsonl(200, doc),
                 Err(e) => Response::error(
                     500,
                     &format!("cannot rebuild the document of job {id}: {e}"),
@@ -267,8 +267,8 @@ fn document(state: &ServerState, id: u64, tenant: &str) -> Response {
 }
 
 /// `GET /v1/campaigns/:id/trace`: the job's span tree (accept → queue
-/// wait → plan → replay/execute with nested worker-child spans → merge
-/// → persist) plus the run counters, rendered through the shared JSON
+/// wait → plan → replay/execute with nested worker spans → merge →
+/// persist) plus the run counters, rendered through the shared JSON
 /// builder. Tenant-scoped like every other job resource: another
 /// tenant's job is a `404`.
 fn job_trace(state: &ServerState, id: u64, tenant: &str) -> Response {
@@ -381,10 +381,11 @@ fn worker_heartbeat(state: &ServerState, worker: u64, body: &[u8]) -> Response {
     }
 }
 
-/// `POST /v1/workers/:id/poll`: body `{"generation":n}`. Answers
-/// `{"assignment":null}` when the pool is empty, else the assignment
-/// id, its encoded subset plan, and the job trace context the worker's
-/// spans should re-anchor under.
+/// `POST /v1/workers/:id/poll`: body `{"generation":n}`. Long-polls
+/// ([`crate::fleet::Fleet::poll`]): answers `{"assignment":null}` when
+/// the pool stays empty for the wait, else the assignment id, its
+/// encoded subset plan, and the job trace context the worker's spans
+/// should re-anchor under.
 fn worker_poll(state: &ServerState, worker: u64, body: &[u8]) -> Response {
     let generation = match parse_generation(body) {
         Ok(g) => g,

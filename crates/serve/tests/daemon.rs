@@ -1,14 +1,14 @@
 //! End-to-end daemon tests over a real loopback socket: submit, poll,
 //! fetch, metrics, and the HTTP edge cases the codec must survive.
 //!
-//! These run the worker pool in-process (this test binary cannot spawn
-//! `nfi campaign exec`); the process-worker path is exercised by the
-//! workspace-level `tests/serve_e2e.rs`, which has the real binary.
+//! These daemons have no worker binary, so store misses execute
+//! in-process (this test binary cannot start `nfi worker`); the local
+//! worker path is exercised by the workspace-level
+//! `tests/serve_e2e.rs`, which has the real binary.
 
 use nfi_serve::auth::AuthTokens;
-use nfi_serve::client::{request_once, request_once_as, request_with_retry, Client};
+use nfi_serve::client::{request_once, request_once_as, Client, Session};
 use nfi_serve::queue::Priority;
-use nfi_serve::worker::WorkerMode;
 use nfi_serve::{ServeConfig, Server};
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -31,7 +31,6 @@ fn start(tag: &str) -> (nfi_serve::ServeHandle, PathBuf) {
     let dir = state_dir(tag);
     let config = ServeConfig {
         workers: 2,
-        mode: WorkerMode::InProcess,
         ..ServeConfig::new(&dir)
     };
     let server = Server::bind("127.0.0.1:0", config).expect("bind");
@@ -108,7 +107,6 @@ fn daemon_seed_applies_to_submissions_that_name_none() {
     let dir = state_dir("seed");
     let config = ServeConfig {
         workers: 1,
-        mode: WorkerMode::InProcess,
         seed: 99,
         ..ServeConfig::new(&dir)
     };
@@ -377,7 +375,6 @@ fn concurrent_lanes_serve_documents_byte_identical_to_offline_runs() {
     let config = ServeConfig {
         workers: 1,
         lanes: 3,
-        mode: WorkerMode::InProcess,
         ..ServeConfig::new(&dir)
     };
     let handle = Server::bind("127.0.0.1:0", config)
@@ -487,7 +484,6 @@ fn restart_recovers_finished_documents_and_requeues_pending_jobs() {
     // Round one: finish a job, remember its document, stop cleanly.
     let config = ServeConfig {
         workers: 1,
-        mode: WorkerMode::InProcess,
         ..ServeConfig::new(&dir)
     };
     let handle = Server::bind("127.0.0.1:0", config.clone())
@@ -584,7 +580,6 @@ fn corrupt_trailing_journal_line_replans_without_changing_the_document() {
     );
     let config = ServeConfig {
         workers: 1,
-        mode: WorkerMode::InProcess,
         ..ServeConfig::new(&dir)
     };
     let handle = Server::bind("127.0.0.1:0", config.clone())
@@ -642,7 +637,6 @@ fn second_daemon_on_the_same_state_dir_is_refused_at_bind() {
     let second = Server::bind(
         "127.0.0.1:0",
         ServeConfig {
-            mode: WorkerMode::InProcess,
             ..ServeConfig::new(&dir)
         },
     );
@@ -656,7 +650,6 @@ fn second_daemon_on_the_same_state_dir_is_refused_at_bind() {
     let third = Server::bind(
         "127.0.0.1:0",
         ServeConfig {
-            mode: WorkerMode::InProcess,
             ..ServeConfig::new(&dir)
         },
     );
@@ -677,7 +670,6 @@ fn stop_releases_the_state_dir_while_a_keep_alive_connection_is_open() {
     let again = Server::bind(
         "127.0.0.1:0",
         ServeConfig {
-            mode: WorkerMode::InProcess,
             ..ServeConfig::new(&dir)
         },
     );
@@ -715,7 +707,6 @@ fn auth_gates_every_route_but_healthz_and_namespaces_tenants() {
     let dir = state_dir("auth");
     let config = ServeConfig {
         workers: 1,
-        mode: WorkerMode::InProcess,
         auth: Some(two_tenant_auth()),
         ..ServeConfig::new(&dir)
     };
@@ -825,7 +816,6 @@ fn rate_limited_clients_get_429_with_retry_after_and_recover() {
     let dir = state_dir("ratelimit");
     let config = ServeConfig {
         workers: 1,
-        mode: WorkerMode::InProcess,
         rate_limit: 5,
         rate_burst: 3,
         ..ServeConfig::new(&dir)
@@ -856,7 +846,9 @@ fn rate_limited_clients_get_429_with_retry_after_and_recover() {
     assert_eq!(shed.header("connection"), Some("keep-alive"));
 
     // The cooperating client helper honors the advice and gets through.
-    let recovered = request_with_retry(addr, None, "GET", "/healthz", None, 3).unwrap();
+    let recovered = Session::new(addr, None)
+        .send("GET", "/healthz", None, 3)
+        .unwrap();
     assert_eq!(recovered.status, 200, "{}", recovered.text());
 
     let metrics = handle.state().metrics_json();
@@ -873,7 +865,6 @@ fn queue_bound_and_tenant_quota_shed_submissions_before_the_journal() {
     // depth and tenant accounting are exact — no races.
     let dir = state_dir("shed");
     let config = ServeConfig {
-        mode: WorkerMode::InProcess,
         max_queue: 2,
         tenant_max_queued: 1,
         ..ServeConfig::new(&dir)
@@ -924,7 +915,6 @@ fn queue_bound_and_tenant_quota_shed_submissions_before_the_journal() {
 fn tenant_program_quota_sheds_new_program_names_only() {
     let dir = state_dir("progquota");
     let config = ServeConfig {
-        mode: WorkerMode::InProcess,
         tenant_max_programs: 1,
         ..ServeConfig::new(&dir)
     };
@@ -961,7 +951,6 @@ fn jobs_that_outwait_their_deadline_fail_with_an_expiry() {
     let config = ServeConfig {
         workers: 1,
         lanes: 1,
-        mode: WorkerMode::InProcess,
         ..ServeConfig::new(&dir)
     };
     let handle = Server::bind("127.0.0.1:0", config)
@@ -1007,7 +996,6 @@ fn jobs_that_outwait_their_deadline_fail_with_an_expiry() {
     let handle = Server::bind(
         "127.0.0.1:0",
         ServeConfig {
-            mode: WorkerMode::InProcess,
             ..ServeConfig::new(&dir)
         },
     )
@@ -1066,7 +1054,6 @@ fn bad_priority_is_400_and_priority_echoes_in_the_accept_reply() {
 fn slowloris_mid_request_gets_408_and_idle_keepalive_closes_silently() {
     let dir = state_dir("slowloris");
     let config = ServeConfig {
-        mode: WorkerMode::InProcess,
         request_timeout: Duration::from_millis(250),
         ..ServeConfig::new(&dir)
     };
@@ -1126,7 +1113,6 @@ fn hardened_daemon_with_four_lanes_preserves_offline_byte_parity() {
     let config = ServeConfig {
         workers: 2,
         lanes: 4,
-        mode: WorkerMode::InProcess,
         auth: Some(two_tenant_auth()),
         rate_limit: 500,
         rate_burst: 500,
@@ -1193,12 +1179,12 @@ fn hardened_daemon_with_four_lanes_preserves_offline_byte_parity() {
         );
         let _ = std::fs::remove_dir_all(&offline_dir);
     }
-    // A normal run under every limit sheds nothing and retries nothing,
-    // and with telemetry on every request is timed.
+    // A normal run under every limit sheds nothing and leaves no unit
+    // uncovered, and with telemetry on every request is timed.
     let metrics = request_once_as(addr, "secret-a", "GET", "/v1/metrics", None)
         .unwrap()
         .text();
-    for counter in ["\"queue_shed\":0", "\"retries\":0"] {
+    for counter in ["\"queue_shed\":0", "\"failed_units\":0"] {
         assert!(metrics.contains(counter), "{metrics}");
     }
     assert!(!metrics.contains("\"http\":{\"count\":0,"), "{metrics}");

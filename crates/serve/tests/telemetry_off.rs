@@ -10,7 +10,6 @@
 use nfi_core::{exec_spec, plan_campaign, ExecConfig};
 use nfi_pylite::MachineConfig;
 use nfi_serve::client::request_once;
-use nfi_serve::worker::WorkerMode;
 use nfi_serve::{ServeConfig, Server};
 use nfi_telemetry::{families, prom};
 use std::time::{Duration, Instant};
@@ -29,7 +28,6 @@ fn telemetry_off_daemon_serves_metrics_records_nothing_and_keeps_byte_parity() {
     let _ = std::fs::remove_dir_all(&dir);
     let config = ServeConfig {
         workers: 2,
-        mode: WorkerMode::InProcess,
         ..ServeConfig::new(&dir)
     };
     let handle = Server::bind("127.0.0.1:0", config)

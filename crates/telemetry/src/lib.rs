@@ -5,8 +5,8 @@
 //!
 //! * **spans + structured logs** ([`trace`], [`log`]): [`TraceId`]s
 //!   minted at the serving edge, monotonic [`Span`]s collected into a
-//!   bounded per-trace buffer, propagated to worker child processes via
-//!   an env var and echoed back as stderr lines; leveled JSON-lines
+//!   bounded per-trace buffer, carried to `nfi worker` processes in
+//!   their lease context and echoed back as span lines; leveled JSON-lines
 //!   logging to stderr controlled by `NFI_LOG` / `--log-level`;
 //! * **latency histograms** ([`hist`]): fixed-bucket log2 (HDR-lite)
 //!   [`Histogram`]s with lock-free [`AtomicHistogram`] recording,

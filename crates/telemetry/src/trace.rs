@@ -1,17 +1,17 @@
 //! Trace spans: per-job span trees with monotonic clocks, a
-//! thread-local context for implicit parenting, and the env-var /
-//! stderr-line protocol that carries spans across the `nfi campaign
-//! exec` process boundary.
+//! thread-local context for implicit parenting, and the context-string
+//! / span-line protocol that carries spans across the `nfi worker`
+//! process boundary.
 //!
 //! A [`Trace`] is minted at the serving edge (`POST /v1/campaigns`) or
 //! by `nfi campaign run --trace`, handed to whichever thread works the
 //! job via [`push_context`], and filled by [`Span`] guards as the
-//! orchestrator moves through its phases. Spawned worker children
-//! receive `NFI_TRACE=<trace>:<parent-span>` and echo their own spans
-//! back as `NFI-SPAN {...}` stderr lines, which the parent re-anchors
-//! under its execute span — so one tree covers accept → queue wait →
-//! plan → replay/execute (with per-shard child spans) → merge →
-//! persist.
+//! orchestrator moves through its phases. A worker's lease carries the
+//! context string `<trace>:<parent-span>` ([`Trace::context_string`]);
+//! the worker echoes its own spans back as `NFI-SPAN {...}` lines in
+//! its result, which the daemon re-anchors under the assignment's span
+//! — so one tree covers accept → queue wait → plan → replay/execute
+//! (with per-assignment worker spans) → merge → persist.
 
 use crate::json::JsonBuf;
 use std::cell::RefCell;
@@ -23,11 +23,7 @@ use std::time::Instant;
 /// Span records retained per trace; later spans count as dropped.
 pub const MAX_SPANS: usize = 512;
 
-/// Name of the environment variable carrying trace context to worker
-/// child processes.
-pub const TRACE_ENV: &str = "NFI_TRACE";
-
-/// Prefix of the stderr lines a child process echoes its spans on.
+/// Prefix of the lines a worker echoes its spans on.
 pub const SPAN_LINE_PREFIX: &str = "NFI-SPAN ";
 
 /// A 64-bit trace identifier, rendered as 16 lowercase hex digits.
@@ -158,11 +154,11 @@ impl Trace {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).dropped
     }
 
-    /// Imports a child process's span, re-anchored: ids are offset to
-    /// stay unique in this trace, the child's root spans (parent 0)
+    /// Imports a worker process's span, re-anchored: ids are offset to
+    /// stay unique in this trace, the worker's root spans (parent 0)
     /// are attached under `parent`, and start offsets shift by
-    /// `epoch_offset_us` (the child's spawn time relative to this
-    /// trace's epoch).
+    /// `epoch_offset_us` (the assignment's dispatch time relative to
+    /// this trace's epoch).
     pub fn import_child(&self, rec: &SpanRecord, parent: u64, id_base: u64, epoch_offset_us: u64) {
         self.record(SpanRecord {
             id: id_base + rec.id,
@@ -213,12 +209,12 @@ impl Trace {
         j.end_arr();
     }
 
-    /// The `NFI_TRACE` value handing `parent` to a child process.
-    pub fn context_env(&self, parent: u64) -> String {
+    /// The context string handing `parent` to a worker process.
+    pub fn context_string(&self, parent: u64) -> String {
         format!("{}:{:x}", self.id, parent)
     }
 
-    /// Writes every span as an `NFI-SPAN {...}` line (the child half
+    /// Writes every span as an `NFI-SPAN {...}` line (the worker half
     /// of the cross-process protocol).
     pub fn emit_spans<W: std::io::Write>(&self, out: &mut W) -> std::io::Result<()> {
         for s in self.spans() {
@@ -258,8 +254,8 @@ fn render_span(j: &mut JsonBuf, spans: &[SpanRecord], order: &[usize], at: usize
     j.end_obj();
 }
 
-/// Parses the `NFI_TRACE` env value: `<trace-hex>:<parent-span-hex>`.
-pub fn parse_context_env(value: &str) -> Option<(TraceId, u64)> {
+/// Parses a context string: `<trace-hex>:<parent-span-hex>`.
+pub fn parse_context_string(value: &str) -> Option<(TraceId, u64)> {
     let (trace, parent) = value.split_once(':')?;
     Some((
         TraceId::parse(trace)?,
@@ -267,7 +263,7 @@ pub fn parse_context_env(value: &str) -> Option<(TraceId, u64)> {
     ))
 }
 
-/// Parses one child stderr line; `None` when it isn't a span line.
+/// Parses one worker output line; `None` when it isn't a span line.
 pub fn parse_span_line(line: &str) -> Option<SpanRecord> {
     let body = line.strip_prefix(SPAN_LINE_PREFIX)?;
     let field_u64 = |name: &str| -> Option<u64> {
@@ -453,13 +449,13 @@ mod tests {
     }
 
     #[test]
-    fn env_and_span_lines_round_trip() {
+    fn context_strings_and_span_lines_round_trip() {
         let trace = Trace::new(TraceId::mint());
-        let env = trace.context_env(7);
-        let (id, parent) = parse_context_env(&env).unwrap();
+        let context = trace.context_string(7);
+        let (id, parent) = parse_context_string(&context).unwrap();
         assert_eq!(id, trace.id());
         assert_eq!(parent, 7);
-        assert!(parse_context_env("garbage").is_none());
+        assert!(parse_context_string("garbage").is_none());
 
         trace.record(SpanRecord {
             id: 1,

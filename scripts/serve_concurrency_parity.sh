@@ -86,5 +86,7 @@ case "$metrics" in
   *) echo "FAIL: metrics do not report lanes=$LANES: $metrics" >&2; exit 1 ;;
 esac
 echo "metrics: $metrics"
+[ "$(json_field "$metrics" local_fallbacks)" = 0 ] \
+  || { echo "FAIL: campaign units executed inside the daemon: $metrics" >&2; exit 1; }
 echo "serve concurrency parity: ${#PROGRAMS[@]} programs over $LANES lanes byte-identical" \
      "to offline; duplicate pair executed $exec_a+$exec_b of $units units exactly once"

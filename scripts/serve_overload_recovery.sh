@@ -1,26 +1,28 @@
 #!/usr/bin/env bash
 # Overload-recovery gauntlet for the hardened `nfi serve` daemon: a
 # mixed-tenant burst past the admission limits must shed with honest
-# 429 + Retry-After replies (and never touch the journal), a worker
-# child killed mid-job must be retried until the job completes without
-# a daemon restart, and everything that was accepted must still serve
-# bytes identical to an offline `nfi campaign run --as` of the same
-# binary.
+# 429 + Retry-After replies (and never touch the journal), a local
+# `nfi worker` killed mid-job must have its lease requeued to its
+# replacement until the job completes without a daemon restart, and
+# everything that was accepted must still serve bytes identical to an
+# offline `nfi campaign run --as` of the same binary.
 #
 #   1. start the daemon with auth, rate limiting, deadlines and a
 #      per-tenant queue quota of 2;
 #   2. alice bursts three submissions on one lane — the third is shed
 #      with 429 + Retry-After while bob's submission still lands (the
 #      quota is per tenant, not global); alice's first job is a large
-#      generated source (hundreds of units), so its worker child runs
-#      for seconds instead of the ~100ms a corpus job takes — long
-#      enough to kill deterministically;
-#   3. kill that `nfi campaign exec` worker child mid-job with SIGKILL
-#      — the lane must retry and the metrics must say so;
+#      generated source (a thousand units, each running a looping
+#      test), so the daemon's one local worker holds its lease for
+#      seconds instead of the ~100ms a corpus job takes — long enough to
+#      kill deterministically. The local workers share 127.0.0.1 with
+#      the tenants but not their rate-limit bucket;
+#   3. SIGKILL that local worker mid-job — the supervisor must requeue
+#      its lease at once and a replacement must finish the job;
 #   4. every accepted job completes; alice resubmits the shed program
 #      once her quota drains and it completes too;
 #   5. byte-diff each served document against the offline tenant-scoped
-#      run, and assert the edge/retry counters recorded the abuse.
+#      run, and assert the edge and fleet counters recorded the abuse.
 #
 # Usage: scripts/serve_overload_recovery.sh
 set -euo pipefail
@@ -42,7 +44,7 @@ echo "== start hardened daemon (quota 2 jobs/tenant, 1 lane) =="
 printf 'alice:alice-ci-token\nbob:bob-ci-token\n' > "$WORK/tokens"
 start_daemon "$WORK/serve.log" --state-dir "$WORK/state" --workers 1 --lanes 1 \
   --auth-token-file "$WORK/tokens" --rate-limit 200 --deadline-ms 300000 \
-  --max-queue 32 --tenant-max-queued 2 --worker-retries 3
+  --max-queue 32 --tenant-max-queued 2
 echo "daemon at $ADDR"
 req GET /healthz >/dev/null
 
@@ -50,9 +52,10 @@ req GET /healthz >/dev/null
 status=$(curl -sS -o /dev/null -w '%{http_code}' "http://$ADDR/v1/metrics")
 [ "$status" = 401 ] || { echo "FAIL: tokenless /v1/metrics got $status, want 401" >&2; exit 1; }
 
-# A big submission whose worker child stays alive long enough to be
-# SIGKILLed mid-run: the same source goes over HTTP (JSON-escaped) and
-# to disk (verbatim) so the offline parity run plans identical units.
+# A big submission whose lease stays on the local worker long enough
+# for it to be SIGKILLed mid-run: the same source goes over HTTP
+# (JSON-escaped) and to disk (verbatim) so the offline parity run plans
+# identical units.
 SLOW_SRC=$WORK/slow.py
 SLOW_BODY='{"program":"slow","source":"'
 : > "$SLOW_SRC"
@@ -61,7 +64,11 @@ for i in $(seq 1 120); do
     "$i" "$i" >> "$SLOW_SRC"
   SLOW_BODY="${SLOW_BODY}def f$i(x):\\n    y = x + $i\\n    if y > 10:\\n        y = y - 1\\n    return y\\n"
 done
-SLOW_BODY="${SLOW_BODY}\"}"
+# Every unit runs the suite, and this test loops, so each unit costs
+# about a millisecond.
+SPIN='def spin(n):\n    total = 0\n    i = 0\n    while i < n:\n        total = total + i\n        i = i + 1\n    return total\ndef test_spin():\n    assert spin(3000) == 4498500\n'
+printf "$SPIN" >> "$SLOW_SRC"
+SLOW_BODY="${SLOW_BODY}${SPIN}\"}"
 
 echo "== mixed-tenant burst past the quota =="
 AUTH_TOKEN=alice-ci-token
@@ -85,32 +92,32 @@ BOB_ID=$(json_field "$reply" id)
 [ -n "$BOB_ID" ] || { echo "FAIL: bob's submission was shed by alice's quota" >&2; exit 1; }
 AUTH_TOKEN=alice-ci-token
 
-echo "== kill a worker child mid-job =="
-# The slow job runs first (FIFO, single lane) and its child lives for
-# seconds; SIGKILL it and require the retry counter to move. The loop
-# still allows a retry in case a poll lands in the gap between jobs.
-retried=
+echo "== kill the local worker mid-job =="
+# The slow job runs first (FIFO, single lane); once it runs, the
+# daemon's one local worker holds its lease for seconds. SIGKILL that
+# worker and require the lease to requeue. The loop allows another
+# try in case the kill lands in the moment before the lease is taken.
+requeued=
 for _ in 1 2 3; do
-  child=
   for _ in $(seq 1 100); do
-    child=$(pgrep -P "$SERVE_PID" -f 'campaign exec' | head -1) || true
-    [ -n "$child" ] && break
+    [ "$(json_field "$(req GET "/v1/campaigns/$SLOW_ID")" status)" = running ] && break
     sleep 0.05
   done
-  [ -n "$child" ] || { echo "FAIL: never saw an nfi campaign exec child" >&2; exit 1; }
+  child=$(pgrep -P "$SERVE_PID" -f 'worker --addr' | head -1) || true
+  [ -n "$child" ] || { echo "FAIL: never saw a local nfi worker child" >&2; exit 1; }
   kill -9 "$child" 2>/dev/null || true
-  # A live kill shows up in the retry counter within the 10ms watchdog
-  # poll; 2s of grace is generous before trying another child.
+  # The supervisor sees the exit within its 50ms check; 2s of grace is
+  # generous before trying the replacement.
   for _ in $(seq 1 8); do
-    if [ "$(json_field "$(req GET /v1/metrics)" retries)" -ge 1 ]; then
-      retried=yes
+    if [ "$(json_field "$(req GET /v1/metrics)" assignments_requeued)" -ge 1 ]; then
+      requeued=yes
       break 2
     fi
     sleep 0.25
   done
 done
-[ -n "$retried" ] || { echo "FAIL: killed children never produced a retry" >&2; exit 1; }
-echo "child $child SIGKILLed; lane retried"
+[ -n "$requeued" ] || { echo "FAIL: killed local workers never requeued a lease" >&2; exit 1; }
+echo "local worker $child SIGKILLed; its lease requeued"
 
 echo "== every accepted job completes without a restart =="
 await "$SLOW_ID" >/dev/null
@@ -154,10 +161,12 @@ echo "metrics: $metrics"
   || { echo "FAIL: unauthorized counter never moved" >&2; exit 1; }
 [ "$(json_field "$metrics" queue_shed)" -ge 1 ] \
   || { echo "FAIL: queue_shed counter never moved" >&2; exit 1; }
-[ "$(json_field "$metrics" retries)" -ge 1 ] \
-  || { echo "FAIL: retries counter never moved" >&2; exit 1; }
+[ "$(json_field "$metrics" assignments_requeued)" -ge 1 ] \
+  || { echo "FAIL: assignments_requeued counter never moved" >&2; exit 1; }
 [ "$(json_field "$metrics" failed_units)" = 0 ] \
-  || { echo "FAIL: retries should have salvaged every unit: $metrics" >&2; exit 1; }
+  || { echo "FAIL: the requeue should have salvaged every unit: $metrics" >&2; exit 1; }
+[ "$(json_field "$metrics" local_fallbacks)" = 0 ] \
+  || { echo "FAIL: campaign units executed inside the daemon: $metrics" >&2; exit 1; }
 
 echo "serve overload recovery: quota shed 429 + Retry-After before the journal;" \
-     "SIGKILLed worker child retried; 4 tenant-scoped jobs byte-identical to offline --as"
+     "SIGKILLed local worker's lease requeued; 4 tenant-scoped jobs byte-identical to offline --as"

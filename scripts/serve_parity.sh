@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Serve-parity check: documents served by the `nfi serve` daemon (with
-# its spawned `nfi campaign exec --shard i/n` process workers) must be
-# byte-identical to an offline `nfi campaign run --state-dir` of the
-# same binary — with the full hardening stack enabled: bearer auth,
-# rate limiting, queue deadlines, and four scheduler lanes.
+# its local `nfi worker` children) must be byte-identical to an offline
+# `nfi campaign run --state-dir` of the same binary — with the full
+# hardening stack enabled: bearer auth, rate limiting, queue deadlines,
+# and four scheduler lanes.
 #
 #   1. start the daemon on an ephemeral port with auth + limits on;
 #   2. submit two corpus programs over HTTP as tenant `ci`, poll both
@@ -110,6 +110,8 @@ echo "metrics: $metrics"
   || { echo "FAIL: the 401 probe never reached the unauthorized counter" >&2; exit 1; }
 echo "$metrics" | grep -q '"latency":' \
   || { echo "FAIL: /v1/metrics carries no latency section" >&2; exit 1; }
+[ "$(json_field "$metrics" local_fallbacks)" = 0 ] \
+  || { echo "FAIL: campaign units executed inside the daemon: $metrics" >&2; exit 1; }
 
 echo "== Prometheus exposition =="
 prom_headers="$WORK/prom-headers"

@@ -55,6 +55,16 @@ MAX_ID=$(printf '%s\n' "${JOB_ID[@]}" | sort -n | tail -1)
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=
+# The local workers read a stdin pipe only the daemon held: they exit
+# with it.
+for _ in $(seq 1 50); do
+  pgrep -f "worker --addr $ADDR --threads" >/dev/null || break
+  sleep 0.1
+done
+if pgrep -f "worker --addr $ADDR --threads" >/dev/null; then
+  echo "FAIL: local workers outlived the SIGTERMed daemon" >&2
+  exit 1
+fi
 
 echo "== restart on the same state dir =="
 start_daemon "$WORK/serve.log" --state-dir "$WORK/state" --lanes 2 --workers 1
@@ -94,5 +104,7 @@ await "$NEXT_ID" >/dev/null
 
 metrics=$(req GET /v1/metrics)
 echo "metrics: $metrics"
+[ "$(json_field "$metrics" local_fallbacks)" = 0 ] \
+  || { echo "FAIL: campaign units executed inside the daemon: $metrics" >&2; exit 1; }
 echo "serve restart recovery: $((${#BURST[@]} + 1)) accepted jobs survived SIGTERM;" \
      "finished document byte-stable; ${#BURST[@]} queued jobs completed byte-identical to offline"

@@ -8,13 +8,14 @@
 //! nfi session --program <name> --describe "<fault>" [--profile retry|crash] [--rounds N]
 //! nfi dataset [--cap N] [--seed N] [--incidents] [--out PATH]
 //! nfi serve --state-dir <dir> [--addr IP:PORT] [--lanes N]   fault injection as a service
-//! nfi worker --addr IP:PORT [--token-file PATH]   remote execution node for a daemon
+//! nfi worker --addr IP:PORT [--token-file PATH]   execution node for a daemon
 //! nfi store gc --state-dir <dir> [--dry-run]      prune dead store segments
 //! nfi experiments [e1|e2|...|e8|all] [--quick] [--threads N]
 //! ```
 //!
 //! Argument parsing is hand-rolled (the offline dependency set has no
-//! CLI crate); every subcommand prints usage on `--help`.
+//! CLI crate); every subcommand prints usage on `--help` and refuses
+//! flags it does not take.
 
 use neural_fault_injection::core::pipeline::{NeuralFaultInjector, PipelineConfig};
 use neural_fault_injection::core::session::run_session;
@@ -46,12 +47,11 @@ USAGE:
             [--seed N] [--auth-token-file PATH] [--rate-limit N] [--rate-burst N]
             [--max-connections N] [--max-queue N] [--tenant-max-queued N]
             [--tenant-max-programs N] [--deadline-ms N] [--request-timeout-ms N]
-            [--child-timeout-ms N] [--worker-retries N]
             [--heartbeat-timeout-ms N] [--assignment-requeues N]
             [--assignment-timeout-ms N]
             [--log-level off|error|warn|info|debug|trace]
   nfi worker --addr IP:PORT [--token <tok> | --token-file PATH] [--name <name>]
-             [--threads N] [--poll-ms N]
+             [--threads N]
   nfi store gc --state-dir <dir> [--dry-run]
                (--corpus | --program <name> | --file <path> | <file>...)
   nfi store inspect --state-dir <dir> [--program <name>] [--json]
@@ -115,12 +115,62 @@ fn load_source(flags: &HashMap<&str, &str>) -> Result<String, String> {
     }
 }
 
+/// The flags each command takes, space-separated. Any other `--flag`
+/// is refused up front, so a typo or a retired flag never runs silently
+/// ignored; `None` (an unknown command or subcommand) leaves the error
+/// to the command itself.
+fn accepted_flags(command: &str, sub: Option<&str>) -> Option<&'static str> {
+    Some(match (command, sub) {
+        ("corpus", _) => "",
+        ("run", _) => "program file",
+        ("inject", _) => "program file describe",
+        ("session", _) => "program file describe profile rounds",
+        ("dataset", _) => "cap seed incidents out",
+        ("explore", _) => "program file describe seeds",
+        ("campaign", Some("plan")) => "program file as seed out",
+        ("campaign", Some("exec")) => "plan shard threads no-cache out",
+        ("campaign", Some("merge")) => "out",
+        ("campaign", Some("run")) => {
+            "state-dir workers threads seed as no-anchor-reuse out-dir trace program file"
+        }
+        ("serve", _) => {
+            "state-dir addr port workers lanes seed auth-token-file rate-limit rate-burst \
+             max-connections max-queue tenant-max-queued tenant-max-programs deadline-ms \
+             request-timeout-ms heartbeat-timeout-ms assignment-requeues \
+             assignment-timeout-ms log-level"
+        }
+        ("worker", _) => "addr port token token-file name threads",
+        ("store", Some("gc")) => "state-dir dry-run corpus program file",
+        ("store", Some("inspect")) => "state-dir program json",
+        ("experiments", _) => "quick threads",
+        _ => return None,
+    })
+}
+
 fn run(args: &[String]) -> Result<(), String> {
     let Some(command) = args.first() else {
         return Err("no command given".to_string());
     };
     let rest = &args[1..];
     let (positional, flags) = parse_flags(rest);
+    if flags.contains_key("help") {
+        println!("{USAGE}");
+        return Ok(());
+    }
+    let sub = positional.first().copied();
+    if let Some(accepted) = accepted_flags(command, sub) {
+        let unknown = rest
+            .iter()
+            .filter_map(|a| a.strip_prefix("--"))
+            .find(|flag| !accepted.split_whitespace().any(|a| a == *flag));
+        if let Some(flag) = unknown {
+            let name = match (command.as_str(), sub) {
+                ("campaign" | "store", Some(sub)) => format!("{command} {sub}"),
+                _ => command.to_string(),
+            };
+            return Err(format!("unknown flag `--{flag}` for `nfi {name}`"));
+        }
+    }
     match command.as_str() {
         "corpus" => cmd_corpus(&positional),
         "run" => cmd_run(&flags),
@@ -522,25 +572,7 @@ fn cmd_campaign(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), 
             let config = exec_config(flags)?
                 .sharded(shard)
                 .cached(!flags.contains_key("no-cache"));
-            // A spawning daemon hands us trace context via `NFI_TRACE`;
-            // participate by recording our own spans and echoing them
-            // back as `NFI-SPAN` stderr lines for the parent to
-            // re-anchor under its worker-child span.
-            let trace = std::env::var(nfi_telemetry::trace::TRACE_ENV)
-                .ok()
-                .and_then(|v| nfi_telemetry::trace::parse_context_env(&v))
-                .map(|(id, _parent)| nfi_telemetry::Trace::new(id));
-            let ctx = trace
-                .as_ref()
-                .map(|t| nfi_telemetry::trace::push_context(std::sync::Arc::clone(t), 0));
-            let run = {
-                let _span = nfi_telemetry::Span::enter("exec");
-                service::exec_spec(&spec, &MachineConfig::default(), config)?
-            };
-            drop(ctx);
-            if let Some(t) = &trace {
-                let _ = t.emit_spans(&mut std::io::stderr().lock());
-            }
+            let run = service::exec_spec(&spec, &MachineConfig::default(), config)?;
             eprintln!(
                 "executed shard {shard}: {} of {} units",
                 run.outcomes.len(),
@@ -738,12 +770,13 @@ fn cmd_campaign_run(files: &[&str], flags: &HashMap<&str, &str>) -> Result<(), S
 }
 
 /// `nfi serve`: the fault-injection-as-a-service daemon. Jobs submitted
-/// over HTTP replay from the shared `--state-dir` store and stripe
-/// their misses over spawned `nfi campaign exec --shard i/n` child
-/// processes — served documents are byte-identical to an offline
-/// `nfi campaign run --state-dir` over the same directory.
+/// over HTTP replay from the shared `--state-dir` store and hand their
+/// misses to `nfi worker` processes: `--lanes × --workers` local
+/// children the daemon supervises, plus any remote workers — served
+/// documents are byte-identical to an offline `nfi campaign run
+/// --state-dir` over the same directory.
 fn cmd_serve(flags: &HashMap<&str, &str>) -> Result<(), String> {
-    use nfi_serve::{auth::AuthTokens, worker::WorkerMode, ServeConfig, Server};
+    use nfi_serve::{auth::AuthTokens, ServeConfig, Server};
     use std::time::Duration;
     let state_dir = flags.get("state-dir").ok_or("need --state-dir <dir>")?;
     if let Some(text) = flags.get("log-level") {
@@ -761,13 +794,15 @@ fn cmd_serve(flags: &HashMap<&str, &str>) -> Result<(), String> {
         .transpose()?;
     let defaults = ServeConfig::new(state_dir);
     let deadline = parse_limit(flags, "deadline-ms")?;
-    let child_timeout = parse_limit(flags, "child-timeout-ms")?;
     let request_timeout = parse_limit(flags, "request-timeout-ms")?;
     let max_connections = parse_limit(flags, "max-connections")? as usize;
     let config = ServeConfig {
         workers,
         lanes,
-        mode: WorkerMode::current_exe()?,
+        worker_binary: Some(
+            std::env::current_exe()
+                .map_err(|e| format!("cannot resolve the running binary: {e}"))?,
+        ),
         seed: parse_seed(flags)?,
         auth,
         rate_limit: parse_limit(flags, "rate-limit")?,
@@ -785,13 +820,6 @@ fn cmd_serve(flags: &HashMap<&str, &str>) -> Result<(), String> {
             Duration::from_millis(request_timeout)
         } else {
             defaults.request_timeout
-        },
-        child_timeout: (child_timeout > 0).then(|| Duration::from_millis(child_timeout)),
-        worker_retries: match flags.get("worker-retries") {
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--worker-retries expects an unsigned integer, got `{v}`"))?,
-            None => defaults.worker_retries,
         },
         heartbeat_timeout: match parse_limit(flags, "heartbeat-timeout-ms")? {
             0 => defaults.heartbeat_timeout,
@@ -823,8 +851,8 @@ fn cmd_serve(flags: &HashMap<&str, &str>) -> Result<(), String> {
         if let Some(ms) = config.default_deadline_ms {
             on.push(format!("{ms}ms deadline"));
         }
-        if let Some(t) = config.child_timeout {
-            on.push(format!("{}ms child watchdog", t.as_millis()));
+        if let Some(t) = config.assignment_timeout {
+            on.push(format!("{}ms assignment timeout", t.as_millis()));
         }
         if on.is_empty() {
             "open (no auth, no limits)".to_string()
@@ -836,7 +864,8 @@ fn cmd_serve(flags: &HashMap<&str, &str>) -> Result<(), String> {
     let local = server.local_addr()?;
     println!(
         "nfi serve: listening on http://{local} (state dir {state_dir}, {lanes} lane(s), \
-         {workers} process worker(s) per job; {hardening})"
+         {} local worker(s); {hardening})",
+        lanes * workers
     );
     println!(
         "  POST /v1/campaigns | GET /v1/campaigns/:id[/document|/trace] | GET /v1/metrics | GET /metrics"
@@ -893,7 +922,7 @@ fn execute_assignment(
             // scheduler re-anchors the roots under its own assignment
             // span at import) and echo them back in the result body.
             let trace = context
-                .and_then(nfi_telemetry::trace::parse_context_env)
+                .and_then(nfi_telemetry::trace::parse_context_string)
                 .map(|(id, _parent)| nfi_telemetry::Trace::new(id));
             let ctx = trace
                 .as_ref()
@@ -925,17 +954,46 @@ fn execute_assignment(
     }
 }
 
-/// `nfi worker`: a remote execution node for a serving daemon. The
+/// How long the worker waits before retrying an unreachable daemon.
+const WORKER_RETRY: std::time::Duration = std::time::Duration::from_millis(200);
+
+/// Ends the process when its stdin is a pipe that closes. A serving
+/// daemon starts its local workers on a pipe it never writes, so the
+/// daemon's death, however it dies, ends them; a worker started from a
+/// script (`nfi worker &` reads `/dev/null`) or a terminal is
+/// unaffected.
+#[cfg(unix)]
+fn exit_when_stdin_pipe_closes() {
+    use std::os::fd::AsFd;
+    use std::os::unix::fs::FileTypeExt;
+    let piped = std::io::stdin()
+        .as_fd()
+        .try_clone_to_owned()
+        .map(std::fs::File::from)
+        .and_then(|stdin| stdin.metadata())
+        .is_ok_and(|meta| meta.file_type().is_fifo());
+    if piped {
+        std::thread::spawn(|| {
+            let _ = std::io::copy(&mut std::io::stdin().lock(), &mut std::io::sink());
+            std::process::exit(0);
+        });
+    }
+}
+
+#[cfg(not(unix))]
+fn exit_when_stdin_pipe_closes() {}
+
+/// `nfi worker`: an execution node for a serving daemon — the daemon's
+/// own local children run this, and so can remote machines. The
 /// worker registers with the scheduler at `--addr` (proving its
 /// machine fingerprint matches — the precondition for byte-identical
-/// shard documents), heartbeats in the background, and pulls
+/// shard documents), heartbeats in the background, and long-polls for
 /// miss-subset assignments: decode the plan, execute it with the local
-/// engine, stream the shard document back. Work-stealing falls out of
-/// the pull loop — a fast worker simply polls more often. The loop
-/// survives daemon restarts by re-registering whenever the daemon
-/// stops recognizing it.
+/// engine, stream the shard document back. Each of its two threads
+/// keeps one keep-alive connection. The loop survives daemon restarts
+/// by re-registering whenever the daemon stops recognizing it.
 fn cmd_worker(flags: &HashMap<&str, &str>) -> Result<(), String> {
-    use nfi_serve::client::request_with_retry;
+    use nfi_serve::client::Session;
     use nfi_sfi::jsontext::{
         escape, get_opt_str, get_opt_u64, get_str, get_u64, parse_flat_object,
     };
@@ -953,26 +1011,17 @@ fn cmd_worker(flags: &HashMap<&str, &str>) -> Result<(), String> {
         return Err(format!("--name `{name}` must be a single plain word"));
     }
     let config = exec_config(flags)?;
-    let poll = Duration::from_millis(match flags.get("poll-ms") {
-        Some(v) => v
-            .parse::<u64>()
-            .ok()
-            .filter(|&p| p > 0)
-            .ok_or_else(|| format!("--poll-ms expects a positive integer, got `{v}`"))?,
-        None => 200,
-    });
+    exit_when_stdin_pipe_closes();
     let fingerprint = MachineConfig::default().fingerprint();
-    let post = |path: &str, body: &str| -> Result<(u16, String), String> {
-        let reply = request_with_retry(
-            addr,
-            token.as_deref(),
-            "POST",
-            path,
-            Some(body.as_bytes()),
-            3,
-        )?;
+    let post = |session: &mut Session<std::net::SocketAddr>,
+                path: &str,
+                body: &str|
+     -> Result<(u16, String), String> {
+        let reply = session.send("POST", path, Some(body.as_bytes()), 3)?;
         Ok((reply.status, reply.text()))
     };
+    let mut session = Session::new(addr, token.as_deref());
+    let mut beats = Session::new(addr, token.as_deref());
 
     println!(
         "nfi worker: {name} -> http://{addr} ({} thread(s), fingerprint {fingerprint:016x})",
@@ -987,7 +1036,7 @@ fn cmd_worker(flags: &HashMap<&str, &str>) -> Result<(), String> {
             "{{\"kind\":\"worker_register\",\"name\":\"{}\",\"fingerprint\":\"{fingerprint:016x}\"}}",
             escape(name)
         );
-        let (status, text) = match post("/v1/workers", &body) {
+        let (status, text) = match post(&mut session, "/v1/workers", &body) {
             Ok(reply) => reply,
             Err(e) => {
                 if !unreachable_logged {
@@ -1034,7 +1083,8 @@ fn cmd_worker(flags: &HashMap<&str, &str>) -> Result<(), String> {
                     if done.load(Ordering::Relaxed) {
                         break;
                     }
-                    match post(&format!("/v1/workers/{worker}/heartbeat"), &gen_body) {
+                    let path = format!("/v1/workers/{worker}/heartbeat");
+                    match post(&mut beats, &path, &gen_body) {
                         Ok((200, _)) => {}
                         Ok(_) => {
                             stale.store(true, Ordering::Relaxed);
@@ -1047,10 +1097,11 @@ fn cmd_worker(flags: &HashMap<&str, &str>) -> Result<(), String> {
                 }
             });
             while !stale.load(Ordering::Relaxed) {
-                let (status, text) = match post(&format!("/v1/workers/{worker}/poll"), &gen_body) {
+                let path = format!("/v1/workers/{worker}/poll");
+                let (status, text) = match post(&mut session, &path, &gen_body) {
                     Ok(reply) => reply,
                     Err(_) => {
-                        std::thread::sleep(poll);
+                        std::thread::sleep(WORKER_RETRY);
                         continue;
                     }
                 };
@@ -1069,7 +1120,8 @@ fn cmd_worker(flags: &HashMap<&str, &str>) -> Result<(), String> {
                     })
                 });
                 match lease {
-                    Ok(None) => std::thread::sleep(poll),
+                    // The daemon already waited for work; ask again.
+                    Ok(None) => {}
                     Ok(Some((assignment, plan, context))) => {
                         let result = execute_assignment(
                             assignment,
@@ -1078,7 +1130,8 @@ fn cmd_worker(flags: &HashMap<&str, &str>) -> Result<(), String> {
                             context.as_deref(),
                             config,
                         );
-                        match post(&format!("/v1/workers/{worker}/result"), &result) {
+                        let path = format!("/v1/workers/{worker}/result");
+                        match post(&mut session, &path, &result) {
                             Ok((200, reply)) => println!(
                                 "nfi worker: assignment {assignment} {}",
                                 if reply.contains("duplicate") {
@@ -1103,7 +1156,7 @@ fn cmd_worker(flags: &HashMap<&str, &str>) -> Result<(), String> {
                     }
                     Err(e) => {
                         eprintln!("nfi worker: poll reply: {e}");
-                        std::thread::sleep(poll);
+                        std::thread::sleep(WORKER_RETRY);
                     }
                 }
             }

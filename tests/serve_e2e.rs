@@ -1,14 +1,14 @@
 //! End-to-end daemon test through the real `nfi` binary: `nfi serve`
-//! runs with its default **spawned `nfi campaign exec` process
-//! workers** (the serve crate's own tests can only exercise in-process
-//! mode — this is the one place the full process tree exists), and the
-//! served document is byte-diffed against an offline `nfi campaign
-//! run` of the same binary. Also covers the strict CLI flag
-//! validation, which lives in the binary.
+//! runs with its **local `nfi worker` children** (the serve crate's own
+//! tests can only execute in-process — this is the one place the full
+//! process tree exists), and the served document is byte-diffed against
+//! an offline `nfi campaign run` of the same binary. Also covers the
+//! supervision of those children and the strict CLI flag validation,
+//! which lives in the binary.
 
 use neural_fault_injection::serve::client::{request_once, request_once_as, Client};
 use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -97,6 +97,90 @@ impl Drop for Daemon {
     }
 }
 
+/// Pids of the live `nfi worker` processes working for the daemon at
+/// `addr` (an exited child's zombie has no command line to match).
+fn local_workers(addr: &str) -> Vec<u32> {
+    let pattern = format!("worker --addr {addr} --threads");
+    let out = Command::new("pgrep")
+        .args(["-f", &pattern])
+        .output()
+        .expect("run pgrep");
+    String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter_map(|l| l.trim().parse().ok())
+        .collect()
+}
+
+/// Waits until `local_workers(addr)` has `count` entries, returning
+/// them.
+fn await_local_workers(addr: &str, count: usize) -> Vec<u32> {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let pids = local_workers(addr);
+        if pids.len() == count && metric(addr, "workers_live") == count as u64 {
+            return pids;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "expected {count} local workers, saw {pids:?}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+fn signal(pid: u32, name: &str) {
+    let status = Command::new("kill")
+        .args([&format!("-{name}"), &pid.to_string()])
+        .status()
+        .expect("run kill");
+    assert!(status.success(), "kill -{name} {pid}");
+}
+
+/// One number of `/v1/metrics`, by key.
+fn metric(addr: &str, key: &str) -> u64 {
+    let text = request_once(addr, "GET", "/v1/metrics", None)
+        .unwrap()
+        .text();
+    text.split(&format!("\"{key}\":"))
+        .nth(1)
+        .and_then(|rest| rest.split([',', '}']).next())
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no {key} in {text}"))
+}
+
+fn submit_source(addr: &str, program: &str, source: &str) -> u64 {
+    let body = format!(
+        "{{\"program\":\"{program}\",\"source\":\"{}\"}}",
+        neural_fault_injection::sfi::jsontext::escape(source)
+    );
+    let reply = request_once(addr, "POST", "/v1/campaigns", Some(body.as_bytes())).unwrap();
+    assert_eq!(reply.status, 202, "{}", reply.text());
+    reply
+        .text()
+        .split("\"id\":")
+        .nth(1)
+        .and_then(|t| t.split([',', '}']).next())
+        .and_then(|t| t.parse().ok())
+        .unwrap()
+}
+
+/// The document an offline `nfi campaign run` of `source` writes.
+fn offline_document(dir: &Path, program: &str, source: &str) -> Vec<u8> {
+    let path = dir.join(format!("{program}.py"));
+    std::fs::write(&path, source).unwrap();
+    let state = dir.join(format!("offline-{program}"));
+    let _ = std::fs::remove_dir_all(&state);
+    let status = Command::new(NFI)
+        .args(["campaign", "run", "--state-dir"])
+        .arg(&state)
+        .arg(&path)
+        .stdout(Stdio::null())
+        .status()
+        .expect("offline campaign run");
+    assert!(status.success());
+    std::fs::read(state.join(format!("runs/{program}.jsonl"))).unwrap()
+}
+
 fn await_done(addr: &str, id: u64) -> String {
     let deadline = Instant::now() + Duration::from_secs(180);
     loop {
@@ -120,18 +204,12 @@ fn served_documents_from_process_workers_match_offline_campaign_run() {
     let daemon = Daemon::start(&dir.join("served"), 2);
 
     // Submit the demo source twice: cold, then store-warm.
-    let body = format!(
-        "{{\"program\":\"demo\",\"source\":\"{}\"}}",
-        neural_fault_injection::sfi::jsontext::escape(SOURCE)
-    );
-    let reply = request_once(&daemon.addr, "POST", "/v1/campaigns", Some(body.as_bytes())).unwrap();
-    assert_eq!(reply.status, 202, "{}", reply.text());
-    let cold_status = await_done(&daemon.addr, 1);
+    let cold_id = submit_source(&daemon.addr, "demo", SOURCE);
+    let cold_status = await_done(&daemon.addr, cold_id);
     assert!(cold_status.contains("\"replayed\":0"), "{cold_status}");
 
-    let reply = request_once(&daemon.addr, "POST", "/v1/campaigns", Some(body.as_bytes())).unwrap();
-    assert_eq!(reply.status, 202, "{}", reply.text());
-    let warm_status = await_done(&daemon.addr, 2);
+    let warm_id = submit_source(&daemon.addr, "demo", SOURCE);
+    let warm_status = await_done(&daemon.addr, warm_id);
     assert!(
         warm_status.contains("\"executed\":0"),
         "warm job must replay everything: {warm_status}"
@@ -139,10 +217,10 @@ fn served_documents_from_process_workers_match_offline_campaign_run() {
 
     let mut client = Client::connect(&daemon.addr).unwrap();
     let cold = client
-        .send("GET", "/v1/campaigns/1/document", None)
+        .send("GET", &format!("/v1/campaigns/{cold_id}/document"), None)
         .unwrap();
     let warm = client
-        .send("GET", "/v1/campaigns/2/document", None)
+        .send("GET", &format!("/v1/campaigns/{warm_id}/document"), None)
         .unwrap();
     assert_eq!(cold.status, 200);
     assert_eq!(
@@ -151,28 +229,17 @@ fn served_documents_from_process_workers_match_offline_campaign_run() {
     );
 
     // Offline run of the same binary over a fresh state dir.
-    let demo_py = dir.join("demo.py");
-    std::fs::write(&demo_py, SOURCE).unwrap();
-    let offline_state = dir.join("offline");
-    let status = Command::new(NFI)
-        .args(["campaign", "run", "--workers", "2", "--state-dir"])
-        .arg(&offline_state)
-        .arg(&demo_py)
-        .stdout(Stdio::null())
-        .status()
-        .expect("offline campaign run");
-    assert!(status.success());
-    let offline_doc = std::fs::read(offline_state.join("runs/demo.jsonl")).unwrap();
     assert_eq!(
-        cold.body, offline_doc,
+        cold.body,
+        offline_document(&dir, "demo", SOURCE),
         "served document differs from offline `nfi campaign run`"
     );
 
-    // The daemon's workers left no exchange files behind.
-    let leftovers: Vec<_> = std::fs::read_dir(dir.join("served/tmp"))
-        .map(|entries| entries.flatten().map(|e| e.path()).collect())
-        .unwrap_or_default();
-    assert!(leftovers.is_empty(), "leftover worker files: {leftovers:?}");
+    // The misses went to the local workers, none ran in the daemon,
+    // and the workers exchange nothing through the state dir.
+    assert!(metric(&daemon.addr, "assignments_completed") >= 1);
+    assert_eq!(metric(&daemon.addr, "local_fallbacks"), 0);
+    assert!(!dir.join("served/tmp").exists());
 
     drop(daemon);
     let _ = std::fs::remove_dir_all(&dir);
@@ -182,21 +249,7 @@ fn served_documents_from_process_workers_match_offline_campaign_run() {
 fn killed_daemon_recovers_accepted_jobs_and_finished_documents_on_restart() {
     let dir = scratch("restart");
     let state = dir.join("state");
-    let submit = |addr: &str, name: &str, source: &str| -> u64 {
-        let body = format!(
-            "{{\"program\":\"{name}\",\"source\":\"{}\"}}",
-            neural_fault_injection::sfi::jsontext::escape(source)
-        );
-        let reply = request_once(addr, "POST", "/v1/campaigns", Some(body.as_bytes())).unwrap();
-        assert_eq!(reply.status, 202, "{}", reply.text());
-        reply
-            .text()
-            .split("\"id\":")
-            .nth(1)
-            .and_then(|t| t.split([',', '}']).next())
-            .and_then(|t| t.parse().ok())
-            .unwrap()
-    };
+    let submit = submit_source;
     let sources: Vec<(String, String)> = (0..3)
         .map(|i| {
             (
@@ -263,20 +316,9 @@ fn killed_daemon_recovers_accepted_jobs_and_finished_documents_on_restart() {
         .unwrap();
         assert_eq!(doc.status, 200);
         // Byte-parity against an offline run of the same binary.
-        let src_path = dir.join(format!("{name}.py"));
-        std::fs::write(&src_path, source).unwrap();
-        let offline_state = dir.join(format!("offline-{name}"));
-        let status = Command::new(NFI)
-            .args(["campaign", "run", "--state-dir"])
-            .arg(&offline_state)
-            .arg(&src_path)
-            .stdout(Stdio::null())
-            .status()
-            .unwrap();
-        assert!(status.success());
-        let offline_doc = std::fs::read(offline_state.join(format!("runs/{name}.jsonl"))).unwrap();
         assert_eq!(
-            doc.body, offline_doc,
+            doc.body,
+            offline_document(&dir, name, source),
             "recovered {name} differs from offline `nfi campaign run`"
         );
     }
@@ -287,115 +329,174 @@ fn killed_daemon_recovers_accepted_jobs_and_finished_documents_on_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Writes an executable wrapper around the real `nfi` binary whose
-/// first `count` invocations run `misbehave` instead (a shared counter
-/// file sequences the attempts — use one worker so attempts are
-/// ordered).
-#[cfg(unix)]
-fn flaky_nfi(dir: &std::path::Path, count: usize, misbehave: &str) -> PathBuf {
-    use std::os::unix::fs::PermissionsExt;
-    let counter = dir.join("attempts");
-    let path = dir.join("flaky-nfi.sh");
-    std::fs::write(
-        &path,
-        format!(
-            "#!/bin/sh\nc=$(cat {counter} 2>/dev/null || echo 0)\n\
-             echo $((c+1)) > {counter}\n\
-             if [ \"$c\" -lt {count} ]; then\n  {misbehave}\nfi\n\
-             exec {NFI} \"$@\"\n",
-            counter = counter.display(),
-        ),
-    )
-    .unwrap();
-    std::fs::set_permissions(&path, std::fs::Permissions::from_mode(0o755)).unwrap();
-    path
-}
-
 #[test]
 #[cfg(unix)]
-fn crashing_worker_children_retry_with_backoff_and_the_job_completes() {
-    use neural_fault_injection::serve::{worker::WorkerMode, ServeConfig, Server};
-    let dir = scratch("flaky");
-    let state = dir.join("state");
-    // The first two child spawns exit 3; the retries then reach the
-    // real binary. max_retries 2 → attempt 3 succeeds.
-    let wrapper = flaky_nfi(&dir, 2, "exit 3");
-    let config = ServeConfig {
-        workers: 1,
-        mode: WorkerMode::Spawn { nfi: wrapper },
-        worker_retries: 2,
-        ..ServeConfig::new(&state)
+fn a_sigkilled_local_worker_requeues_its_lease_before_the_heartbeat_timeout() {
+    let dir = scratch("sigkill");
+    let daemon = Daemon::start_with_args(
+        &dir.join("served"),
+        1,
+        1,
+        &["--heartbeat-timeout-ms", "60000"],
+    );
+    let [worker] = await_local_workers(&daemon.addr, 1)[..] else {
+        unreachable!()
     };
-    let handle = Server::bind("127.0.0.1:0", config)
+    // Frozen while it waits in a long poll, the one local worker still
+    // takes the job's lease, and holds it until it dies.
+    signal(worker, "STOP");
+    let started = Instant::now();
+    let id = submit_source(&daemon.addr, "demo", SOURCE);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !request_once(&daemon.addr, "GET", &format!("/v1/campaigns/{id}"), None)
         .unwrap()
-        .spawn()
-        .unwrap();
-    let addr = handle.addr;
-    let body = format!(
-        "{{\"program\":\"demo\",\"source\":\"{}\"}}",
-        neural_fault_injection::sfi::jsontext::escape(SOURCE)
-    );
-    let reply = request_once(addr, "POST", "/v1/campaigns", Some(body.as_bytes())).unwrap();
-    assert_eq!(reply.status, 202, "{}", reply.text());
-    let status = await_done(&addr.to_string(), 1);
+        .text()
+        .contains("\"status\":\"running\"")
+    {
+        assert!(Instant::now() < deadline, "job {id} never started");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // Margin for the lane to replay the (empty) store and queue the
+    // assignment the frozen worker's pending poll then takes.
+    std::thread::sleep(Duration::from_millis(500));
+    signal(worker, "KILL");
+    let status = await_done(&daemon.addr, id);
     assert!(
-        status.contains("\"failed_units\":0"),
-        "retries must recover full coverage: {status}"
+        started.elapsed() < Duration::from_secs(60),
+        "the exit, not the 60s heartbeat timeout, requeued the lease"
     );
-
-    // The retries surfaced in the metrics, and the served document is
-    // byte-identical to an offline run — a retried job is
-    // indistinguishable from a clean one.
-    let metrics = request_once(addr, "GET", "/v1/metrics", None).unwrap();
-    let text = metrics.text();
-    assert!(text.contains("\"retries\":2"), "{text}");
-    assert!(text.contains("\"failed_units\":0"), "{text}");
-    let doc = request_once(addr, "GET", "/v1/campaigns/1/document", None).unwrap();
-    let offline_dir = dir.join("offline");
-    let offline = neural_fault_injection::core::Orchestrator::new(&offline_dir)
-        .unwrap()
-        .run_program("demo", SOURCE)
-        .unwrap();
-    assert_eq!(doc.text(), offline.run.encode());
-    handle.stop();
+    assert!(status.contains("\"failed_units\":0"), "{status}");
+    assert!(metric(&daemon.addr, "assignments_requeued") >= 1);
+    assert!(metric(&daemon.addr, "workers_lost") >= 1);
+    assert_eq!(metric(&daemon.addr, "local_fallbacks"), 0);
+    let replacement = await_local_workers(&daemon.addr, 1);
+    assert_ne!(replacement, [worker], "the killed worker was replaced");
+    let doc = request_once(
+        &daemon.addr,
+        "GET",
+        &format!("/v1/campaigns/{id}/document"),
+        None,
+    )
+    .unwrap();
+    assert_eq!(doc.body, offline_document(&dir, "demo", SOURCE));
+    drop(daemon);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 #[cfg(unix)]
-fn a_hung_worker_child_is_watchdog_killed_retried_and_the_job_completes() {
-    use neural_fault_injection::serve::{worker::WorkerMode, ServeConfig, Server};
+fn a_hung_local_worker_is_killed_at_the_assignment_timeout_and_replaced() {
     let dir = scratch("hung");
-    let state = dir.join("state");
-    // The first child hangs (the wrapper sleeps without exec'ing); the
-    // watchdog kills it at its budget and the retry reaches the real
-    // binary. The hang must not require a daemon restart to clear.
-    let wrapper = flaky_nfi(&dir, 1, "sleep 600");
+    let daemon = Daemon::start_with_args(
+        &dir.join("served"),
+        1,
+        1,
+        &[
+            "--assignment-timeout-ms",
+            "1000",
+            "--heartbeat-timeout-ms",
+            "60000",
+        ],
+    );
+    let [worker] = await_local_workers(&daemon.addr, 1)[..] else {
+        unreachable!()
+    };
+    // The frozen worker takes the lease and never answers; only the
+    // assignment timeout can free it.
+    signal(worker, "STOP");
+    let started = Instant::now();
+    let id = submit_source(&daemon.addr, "demo", SOURCE);
+    let status = await_done(&daemon.addr, id);
+    assert!(
+        started.elapsed() < Duration::from_secs(60),
+        "the assignment timeout, not the 60s heartbeat timeout, freed the lease"
+    );
+    assert!(status.contains("\"failed_units\":0"), "{status}");
+    assert!(metric(&daemon.addr, "workers_lost") >= 1);
+    assert!(metric(&daemon.addr, "assignments_requeued") >= 1);
+    assert_eq!(metric(&daemon.addr, "local_fallbacks"), 0);
+    assert!(
+        !Path::new(&format!("/proc/{worker}")).exists(),
+        "the hung worker was killed and reaped"
+    );
+    let doc = request_once(
+        &daemon.addr,
+        "GET",
+        &format!("/v1/campaigns/{id}/document"),
+        None,
+    )
+    .unwrap();
+    assert_eq!(doc.body, offline_document(&dir, "demo", SOURCE));
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+#[cfg(unix)]
+fn neither_a_stopped_nor_a_killed_daemon_leaves_a_local_worker_running() {
+    use neural_fault_injection::serve::{ServeConfig, Server};
+    let dir = scratch("orphans");
     let config = ServeConfig {
-        workers: 1,
-        mode: WorkerMode::Spawn { nfi: wrapper },
-        worker_retries: 2,
-        child_timeout: Some(Duration::from_millis(500)),
-        ..ServeConfig::new(&state)
+        lanes: 2,
+        worker_binary: Some(PathBuf::from(NFI)),
+        ..ServeConfig::new(dir.join("handle"))
     };
     let handle = Server::bind("127.0.0.1:0", config)
         .unwrap()
         .spawn()
         .unwrap();
-    let addr = handle.addr;
-    let body = format!(
-        "{{\"program\":\"demo\",\"source\":\"{}\"}}",
-        neural_fault_injection::sfi::jsontext::escape(SOURCE)
-    );
-    let reply = request_once(addr, "POST", "/v1/campaigns", Some(body.as_bytes())).unwrap();
-    assert_eq!(reply.status, 202, "{}", reply.text());
-    let status = await_done(&addr.to_string(), 1);
-    assert!(status.contains("\"failed_units\":0"), "{status}");
-    let metrics = request_once(addr, "GET", "/v1/metrics", None).unwrap();
-    let text = metrics.text();
-    assert!(text.contains("\"watchdog_kills\":1"), "{text}");
-    assert!(text.contains("\"retries\":1"), "{text}");
+    let addr = handle.addr.to_string();
+    await_local_workers(&addr, 2);
     handle.stop();
+    assert_eq!(
+        local_workers(&addr),
+        Vec::<u32>::new(),
+        "stop reaps its workers"
+    );
+
+    let daemon = Daemon::start_with_lanes(&dir.join("served"), 2, 2);
+    await_local_workers(&daemon.addr, 4);
+    let addr = daemon.addr.clone();
+    drop(daemon); // SIGKILL: the workers see their stdin pipe close
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !local_workers(&addr).is_empty() {
+        assert!(
+            Instant::now() < deadline,
+            "orphaned workers: {:?}",
+            local_workers(&addr)
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_pruned_document_rebuilds_on_the_workers_byte_identical_to_offline() {
+    let dir = scratch("rebuild");
+    let daemon = Daemon::start(&dir.join("served"), 1);
+    let first = submit_source(&daemon.addr, "demo", SOURCE);
+    await_done(&daemon.addr, first);
+    // A second source under the same program name prunes the first
+    // job's segment, so its document must be re-executed.
+    let edited = format!("{SOURCE}def extra():\n    return 1\n");
+    let second = submit_source(&daemon.addr, "demo", &edited);
+    await_done(&daemon.addr, second);
+    let dispatched = metric(&daemon.addr, "assignments_dispatched");
+    let doc = request_once(
+        &daemon.addr,
+        "GET",
+        &format!("/v1/campaigns/{first}/document"),
+        None,
+    )
+    .unwrap();
+    assert_eq!(doc.status, 200);
+    assert_eq!(doc.body, offline_document(&dir, "demo", SOURCE));
+    assert!(
+        metric(&daemon.addr, "assignments_dispatched") > dispatched,
+        "the rebuild went to the workers"
+    );
+    assert_eq!(metric(&daemon.addr, "local_fallbacks"), 0);
+    drop(daemon);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -547,9 +648,27 @@ fn strict_flag_validation_rejects_nonsense_up_front() {
             &["serve", "--state-dir", "/tmp/x", "--rate-limit", "fast"],
             "--rate-limit expects an unsigned integer",
         ),
+        // The bad `--addr` after each retired flag makes a regression
+        // fail fast instead of starting a daemon or worker.
         (
-            &["serve", "--state-dir", "/tmp/x", "--worker-retries", "-1"],
-            "--worker-retries expects an unsigned integer",
+            &[
+                "serve",
+                "--state-dir",
+                "/tmp/x",
+                "--worker-retries",
+                "3",
+                "--addr",
+                "nowhere",
+            ],
+            "unknown flag `--worker-retries` for `nfi serve`",
+        ),
+        (
+            &["worker", "--poll-ms", "50", "--addr", "nowhere"],
+            "unknown flag `--poll-ms` for `nfi worker`",
+        ),
+        (
+            &["campaign", "plan", "--program", "banking", "--seeed", "7"],
+            "unknown flag `--seeed` for `nfi campaign plan`",
         ),
         (
             &[
