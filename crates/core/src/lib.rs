@@ -46,9 +46,7 @@ pub use cache::{CacheStats, CachedMutant, MutantCache};
 pub use exec::ExecConfig;
 pub use metrics::{field_profile, js_distance, EffortModel};
 pub use pipeline::{InjectionReport, NeuralFaultInjector, PipelineConfig, PipelineError};
-pub use service::{
-    exec_spec, exec_units, merge, plan_campaign, DispatchTier, ShardOutcome, ShardRun,
-};
+pub use service::{exec_spec, exec_units, merge, plan_campaign, ShardOutcome, ShardRun};
 pub use session::{run_session, SessionResult, SessionRound};
 pub use store::{
     CampaignStore, GcReport, IncrementalRun, LoadedSegment, Orchestrator, SegmentGuard,

@@ -31,32 +31,6 @@ use nfi_sfi::{Campaign, CampaignSpec, FaultPlan};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// How a campaign's store misses execute — the dispatch abstraction
-/// behind [`crate::store::Orchestrator::run_spec_with`]. Every tier
-/// receives the same self-contained miss subset and returns shard
-/// runs that [`merge`] back byte-identically, so tier selection is a
-/// pure scheduling decision with no observable effect on documents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchTier {
-    /// Threads inside the calling process (offline `campaign run`, and
-    /// a serving daemon without a worker binary or live workers).
-    LocalThreads,
-    /// `nfi worker` processes — a daemon's supervised local children
-    /// and remote nodes alike — pulling hash-sharded assignments over
-    /// HTTP (heartbeat, requeue, per-unit isolation).
-    RemoteWorkers,
-}
-
-impl DispatchTier {
-    /// Stable lowercase label (log fields, metrics).
-    pub fn label(&self) -> &'static str {
-        match self {
-            DispatchTier::LocalThreads => "local_threads",
-            DispatchTier::RemoteWorkers => "remote_workers",
-        }
-    }
-}
-
 /// Builds the full-enumeration spec for a program source: parse, run
 /// the operator registry over it, capture the plan IR.
 ///
@@ -355,9 +329,9 @@ pub fn exec_units(
 ///
 /// # Protocol invariants
 ///
-/// This is the byte-parity chokepoint every dispatch tier (in-process
-/// threads, and `nfi worker` processes local or remote) funnels
-/// through:
+/// This is the byte-parity chokepoint every executor (an offline run's
+/// own threads, and a daemon's `nfi worker` processes, local or
+/// remote) funnels through:
 ///
 /// * **Byte-identical merge.** Outcome `line`s are re-emitted
 ///   verbatim and ordered by global index, so the merged document is

@@ -25,7 +25,8 @@
 //!   header stores it verbatim and the loader cross-checks it, so a
 //!   fingerprint collision degrades to a reported re-execution, never
 //!   a silent replay of another program's outcomes;
-//! * the **line** key is [`WorkUnit::store_key`] — operator, the
+//! * the **line** key is
+//!   [`WorkUnit::store_key`](nfi_sfi::WorkUnit::store_key) — operator, the
 //!   site's *structural anchor* + ordinal ([`nfi_pylite::anchors`]),
 //!   operator detail, and the experiment seed. Stable across
 //!   processes and hosts, so a segment written by one worker replays
@@ -57,14 +58,14 @@
 //! back to re-execution; the store can never change a result, only
 //! skip recomputing it.
 //!
-//! [`Orchestrator`] is the multi-run, multi-worker entry point behind
+//! [`Orchestrator`] is the multi-run entry point behind
 //! `nfi campaign run --state-dir`: plan, replay what the store covers,
-//! stripe the misses across workers, merge, and write the segment
-//! back. Workers exchange *encoded shard documents*, and the dispatch
-//! step is pluggable ([`Orchestrator::run_spec_with`]): the default
-//! uses in-process threads, while the `nfi serve` daemon passes a
-//! dispatcher that hands subset specs to `nfi worker` processes — same
-//! artifacts, same merge, byte-identical documents.
+//! execute the misses, merge, and write the segment back. The execute
+//! step is pluggable ([`Orchestrator::run_spec_with`]): offline, the
+//! misses run in one [`service::exec_units`] call on a thread of the
+//! run's own, while the `nfi serve` daemon passes a dispatcher that hands
+//! subset specs to `nfi worker` processes — same merge, byte-identical
+//! documents.
 //!
 //! The store has **one writer per segment at a time**: every
 //! orchestrated run serializes its load → execute → save cycle behind
@@ -77,7 +78,7 @@ use crate::exec::ExecConfig;
 use crate::service::{self, ShardOutcome, ShardRun};
 use nfi_pylite::MachineConfig;
 use nfi_sfi::jsontext::{escape, get_hex_u64, get_str, get_usize, parse_flat_object, JsonValue};
-use nfi_sfi::{CampaignSpec, WorkUnit};
+use nfi_sfi::CampaignSpec;
 use nfi_telemetry::{families, Span};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -98,9 +99,11 @@ pub struct CampaignStore {
 }
 
 /// The segment format this build writes: format 2 keys lines by
-/// structural anchor ([`WorkUnit::store_key`]) and records each line's
-/// anchor. Format-1 segments (including headerless pre-versioning
-/// ones) are read but never used as an anchor-fallback source.
+/// structural anchor
+/// ([`WorkUnit::store_key`](nfi_sfi::WorkUnit::store_key)) and records
+/// each line's anchor. Format-1 segments (including headerless
+/// pre-versioning ones) are read but never used as an anchor-fallback
+/// source.
 pub const SEGMENT_FORMAT: u32 = 2;
 
 /// One loaded store segment: outcome lines by unit store key, plus
@@ -108,7 +111,8 @@ pub const SEGMENT_FORMAT: u32 = 2;
 /// re-execution).
 #[derive(Debug, Default)]
 pub struct LoadedSegment {
-    /// Verbatim outcome lines, keyed by [`WorkUnit::store_key`].
+    /// Verbatim outcome lines, keyed by
+    /// [`WorkUnit::store_key`](nfi_sfi::WorkUnit::store_key).
     pub lines: HashMap<u64, String>,
     /// Human-readable reports of skipped/corrupt lines.
     pub errors: Vec<String>,
@@ -746,8 +750,8 @@ pub struct IncrementalRun {
 }
 
 /// The host-level campaign orchestrator: plan → replay from the store
-/// → dispatch misses to workers → collect shard documents → merge →
-/// persist. See the module docs for the trust argument.
+/// → execute the misses → merge → persist. See the module docs for the
+/// trust argument.
 pub struct Orchestrator {
     /// The backing store.
     pub store: CampaignStore,
@@ -756,13 +760,10 @@ pub struct Orchestrator {
     /// must share one orchestrator (the in-process level of the lock
     /// lives here); separate processes meet at the lock files.
     pub locks: SegmentLocks,
-    /// Worker count for miss execution (in-process workers; clamped to
-    /// at least 1 and at most the miss count).
-    pub workers: usize,
     /// Machine configuration every experiment runs under (its
     /// fingerprint is half the segment address).
     pub machine: MachineConfig,
-    /// Engine configuration *within* one worker (threads, caches).
+    /// Engine configuration of the miss execution (threads, caches).
     pub config: ExecConfig,
     /// Scheduler seed stamped on planned units.
     pub seed: u64,
@@ -774,8 +775,8 @@ pub struct Orchestrator {
 }
 
 impl Orchestrator {
-    /// An orchestrator with sequential single-worker defaults over the
-    /// store at `state_dir`.
+    /// An orchestrator with sequential defaults over the store at
+    /// `state_dir`.
     ///
     /// # Errors
     ///
@@ -784,7 +785,6 @@ impl Orchestrator {
         Ok(Orchestrator {
             store: CampaignStore::open(&state_dir)?,
             locks: SegmentLocks::open(&state_dir),
-            workers: 1,
             machine: MachineConfig::default(),
             config: ExecConfig::sequential(),
             seed: MachineConfig::default().seed,
@@ -804,17 +804,38 @@ impl Orchestrator {
 
     /// Runs one spec incrementally: units whose outcome line is in the
     /// store are replayed verbatim and re-emitted; only the rest
-    /// execute, striped across the workers. The merged document is
-    /// byte-identical to an unsharded cold run and is written back as
-    /// the new store segment.
+    /// execute, in one [`service::exec_units`] call on a scoped thread
+    /// of the run's own (parallel across [`ExecConfig::threads`]). The
+    /// merged document is byte-identical to an unsharded cold run and
+    /// is written back as the new store segment.
     ///
     /// # Errors
     ///
-    /// Reports execution, merge, and store-write failures. Store
-    /// *corruption* is not an error — it degrades to re-execution and
-    /// is reported in [`IncrementalRun::store_errors`].
+    /// Reports execution, merge, and store-write failures, and a
+    /// panicked executor thread. Store *corruption* is not an error —
+    /// it degrades to re-execution and is reported in
+    /// [`IncrementalRun::store_errors`].
     pub fn run_spec(&self, spec: &CampaignSpec) -> Result<IncrementalRun, String> {
-        self.run_spec_with(spec, |spec, missing| self.dispatch(spec, missing))
+        self.run_spec_with(spec, |spec, missing| {
+            // A thread per run, not the caller's: the thread-local code
+            // and suite caches start empty for every run and are freed
+            // with it, so a caller that runs many programs keeps none of
+            // an earlier run's compiles or suite reports. It also keeps
+            // run times steady on a shared host: one thread kept busy
+            // across runs swung between speeds about 1.5x apart, for
+            // seconds at a time, on a two-core VM (see ROADMAP item 2).
+            let run = std::thread::scope(|scope| {
+                scope
+                    .spawn(|| {
+                        service::exec_units(spec, &self.machine, self.config, |u| {
+                            missing.binary_search(&u.index).is_ok()
+                        })
+                    })
+                    .join()
+                    .map_err(|_| "the executor thread panicked".to_string())?
+            })?;
+            Ok(vec![run])
+        })
     }
 
     /// [`Self::run_spec`] with a caller-supplied dispatcher for the
@@ -823,11 +844,11 @@ impl Orchestrator {
     /// shard runs that together cover exactly those indices (each with
     /// `total` equal to the full spec's unit count).
     ///
-    /// This seam is the dispatch-tier abstraction. Two dispatchers
-    /// exist today: the default [`Self::run_spec`] stripes misses over
-    /// in-process worker threads, and `nfi-serve`'s worker fleet
-    /// hash-shards the miss set into subset specs
-    /// ([`CampaignSpec::subset`]) pulled by `nfi worker` processes.
+    /// One process, one executor: offline, [`Self::run_spec`] executes
+    /// the misses in this process; a serving daemon executes none
+    /// itself and passes its worker fleet, which hash-shards the miss
+    /// set into subset specs ([`CampaignSpec::subset`]) pulled by
+    /// `nfi worker` processes.
     ///
     /// # Protocol invariants
     ///
@@ -986,11 +1007,10 @@ impl Orchestrator {
             }
         }
         // Executed is counted from what actually came back, not from
-        // what was dispatched: a supervised dispatcher (the serve
-        // worker pool) may legally return *partial* coverage when a
-        // unit exhausts its retries, and the saved segment is then
-        // partial too. `units - replayed - executed` is exactly the
-        // uncovered remainder.
+        // what was dispatched: the serve fleet may legally return
+        // *partial* coverage when a unit exhausts its requeues, and the
+        // saved segment is then partial too. `units - replayed -
+        // executed` is exactly the uncovered remainder.
         Ok(IncrementalRun {
             program: spec.program.clone(),
             units: spec.units.len(),
@@ -1040,63 +1060,6 @@ impl Orchestrator {
             outcomes: replayed,
         };
         service::merge(&[run]).ok().map(|merged| merged.encode())
-    }
-
-    /// The default dispatcher, also a serving daemon's in-process tier:
-    /// stripes the missing unit indices round-robin across the workers
-    /// and executes each stripe on its own in-process worker thread. Every worker hands back an
-    /// *encoded* shard document — the same artifact the `nfi worker`
-    /// processes of `nfi serve` hand back — which the orchestrator
-    /// decodes and merges, so the two worker transports are
-    /// interchangeable without any data-flow change.
-    ///
-    /// # Errors
-    ///
-    /// Reports a worker's execution failure or a panicked worker.
-    pub fn dispatch(
-        &self,
-        spec: &CampaignSpec,
-        indices: &[usize],
-    ) -> Result<Vec<ShardRun>, String> {
-        let workers = self.workers.min(indices.len()).max(1);
-        let stripes: Vec<HashSet<usize>> = (0..workers)
-            .map(|w| {
-                indices
-                    .iter()
-                    .skip(w)
-                    .step_by(workers)
-                    .copied()
-                    .collect::<HashSet<usize>>()
-            })
-            .collect();
-        // Shard threads inherit the dispatching thread's trace context
-        // so their spans nest under the execute phase.
-        let context = nfi_telemetry::trace::current_context();
-        let docs: Vec<String> = std::thread::scope(|scope| {
-            let handles: Vec<_> = stripes
-                .iter()
-                .map(|stripe| {
-                    let context = context.clone();
-                    scope.spawn(move || {
-                        let _ctx = context.map(|(trace, parent)| {
-                            nfi_telemetry::trace::push_context(trace, parent)
-                        });
-                        let _span = Span::enter("exec_shard");
-                        service::exec_units(spec, &self.machine, self.config, |u: &WorkUnit| {
-                            stripe.contains(&u.index)
-                        })
-                        .map(|run| run.encode())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().map_err(|_| "worker panicked".to_string())?)
-                .collect::<Result<Vec<String>, String>>()
-        })?;
-        docs.iter()
-            .map(|doc| ShardRun::decode(doc).map_err(|e| format!("worker document: {e}")))
-            .collect()
     }
 }
 
@@ -1156,7 +1119,7 @@ def test_add():
         let dir_b = state_dir("w4");
         let one = Orchestrator::new(&dir_a).unwrap();
         let four = Orchestrator {
-            workers: 4,
+            config: ExecConfig::with_threads(4),
             ..Orchestrator::new(&dir_b).unwrap()
         };
         let a = one.run_program("demo", SOURCE).unwrap();

@@ -17,9 +17,8 @@
 //! [`crate::memo::Memo`] the table itself is **thread-local** (each
 //! executor thread warms its own map — free of locks on the hot path),
 //! while the hit/miss/eviction/entry counters are process-wide atomics
-//! so `CacheStats` aggregates all threads, exactly like the other cache
-//! sections in `/v1/metrics`. Eviction is the same exact LRU by logical
-//! use-clock as `Memo`, applied per thread.
+//! so `CacheStats` aggregates all threads. Eviction is the same exact
+//! LRU by logical use-clock as `Memo`, applied per thread.
 
 use crate::memo::CacheStats;
 use nfi_pylite::code::Code;
@@ -134,15 +133,6 @@ impl CodeCache {
             }
         });
         Ok(code)
-    }
-
-    /// Fingerprints the module and delegates to [`CodeCache::compile`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates compile errors.
-    pub fn compile_unkeyed(&self, module: &Module) -> Result<Rc<Code>, PyliteError> {
-        self.compile(module, nfi_pylite::fingerprint(module))
     }
 
     /// Aggregated counters across all threads. `entries` counts every

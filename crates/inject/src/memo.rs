@@ -36,18 +36,6 @@ pub struct CacheStats {
     pub capacity: Option<usize>,
 }
 
-impl CacheStats {
-    /// Hit fraction in `[0, 1]` (0 when never queried).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// The default entry cap for the process-wide caches: far above what
 /// the corpus-wide benches populate (a few thousand entries), so their
 /// hit rates are unchanged, while still bounding a long-lived service
@@ -482,7 +470,6 @@ def test_price():
         assert_eq!(first.overall, second.overall);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
-        assert_eq!(stats.hit_rate(), 0.5);
     }
 
     #[test]

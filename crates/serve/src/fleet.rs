@@ -1,5 +1,5 @@
-//! The worker fleet: `nfi worker` processes as the daemon's one
-//! out-of-process dispatch tier.
+//! The worker fleet: `nfi worker` processes, where the daemon executes
+//! every store miss.
 //!
 //! Every worker is an `nfi worker` process: the `lanes × workers`
 //! local children the daemon starts and supervises itself
@@ -104,7 +104,7 @@ pub struct FleetEvents {
     /// from a lost worker that must re-register first).
     pub stale_rejections: AtomicU64,
     /// Units left uncovered: requeued past their own cap, or stranded
-    /// with no live worker on a daemon that starts none.
+    /// by a stop.
     pub failed_units: AtomicU64,
 }
 
@@ -222,10 +222,6 @@ pub struct Fleet {
     /// Optional per-lease execution budget (`None` = heartbeat-only
     /// failure detection).
     lease_timeout: Option<Duration>,
-    /// Whether the daemon supervises local workers, so a dispatch with
-    /// no live worker waits for one instead of leaving its units
-    /// uncovered.
-    supervised: bool,
     /// How long an idle poll blocks ([`POLL_WAIT`]).
     poll_wait: Duration,
     /// Protocol counters.
@@ -243,21 +239,20 @@ pub struct Fleet {
 impl Fleet {
     /// A fleet that accepts workers whose machine fingerprint is
     /// `expected_fp` (the scheduler's own — byte parity requires both
-    /// sides to execute under the same machine configuration).
-    /// `supervised` says whether the daemon keeps local workers alive.
+    /// sides to execute under the same machine configuration). A
+    /// dispatch with no live worker waits for one: the daemon keeps its
+    /// local workers alive.
     pub fn new(
         expected_fp: u64,
         heartbeat_timeout: Duration,
         max_requeues: u32,
         lease_timeout: Option<Duration>,
-        supervised: bool,
     ) -> Fleet {
         Fleet {
             expected_fp,
             heartbeat_timeout,
             max_requeues,
             lease_timeout,
-            supervised,
             poll_wait: POLL_WAIT,
             events: FleetEvents::default(),
             inner: Mutex::new(FleetInner::default()),
@@ -550,10 +545,9 @@ impl Fleet {
     /// harvested (their worker spans re-anchored into the job trace),
     /// lost and timed-out leases requeue, and a chunk past its requeue
     /// cap splits into single-unit assignments. A unit past its own cap
-    /// — or stranded with no live worker on a daemon that supervises
-    /// none, or by a stop — is counted in `failed_units` and left out
-    /// of the returned runs. The runs carry the **full** spec's unit count, so they
-    /// merge with the store's replayed outcomes.
+    /// — or stranded by a stop — is counted in `failed_units` and left
+    /// out of the returned runs. The runs carry the **full** spec's
+    /// unit count, so they merge with the store's replayed outcomes.
     pub fn dispatch(&self, job: u64, spec: &CampaignSpec, missing: &[usize]) -> Vec<ShardRun> {
         if missing.is_empty() {
             return Vec::new();
@@ -607,15 +601,13 @@ impl Fleet {
     }
 
     /// Blocks until some outstanding assignment is done, or pending past
-    /// its requeue cap, or stranded (no live worker on an unsupervised
-    /// fleet, or a stopped fleet); takes those out of the pool and of
-    /// `outstanding`. Returns (done, exhausted, stranded).
+    /// its requeue cap, or stranded by a stop; takes those out of the
+    /// pool and of `outstanding`. Returns (done, exhausted, stranded).
     fn settle(&self, outstanding: &mut Vec<u64>) -> (Vec<Assignment>, Vec<Assignment>, bool) {
         let mut inner = self.lock();
         loop {
             self.reap(&mut inner);
-            let stranded = self.stopped.load(Ordering::SeqCst)
-                || (!self.supervised && !inner.workers.values().any(|w| !w.lost));
+            let stranded = self.stopped.load(Ordering::SeqCst);
             let (mut done, mut exhausted) = (Vec::new(), Vec::new());
             outstanding.retain(|id| {
                 let settled = match inner.assignments.get(id) {
@@ -875,10 +867,10 @@ def test_scale():
 
     /// A fleet whose idle polls wait 20 ms, so scripted workers loop
     /// fast.
-    fn fleet(timeout: Duration, max_requeues: u32, supervised: bool) -> Fleet {
+    fn fleet(timeout: Duration, max_requeues: u32) -> Fleet {
         Fleet {
             poll_wait: Duration::from_millis(20),
-            ..Fleet::new(fingerprint(), timeout, max_requeues, None, supervised)
+            ..Fleet::new(fingerprint(), timeout, max_requeues, None)
         }
     }
 
@@ -946,7 +938,7 @@ def test_scale():
     #[test]
     fn worker_dispatch_merges_byte_identical_to_direct_execution() {
         let (spec, all) = fixture();
-        let fleet = fleet(Duration::from_secs(5), 2, true);
+        let fleet = fleet(Duration::from_secs(5), 2);
         let reg = fleet.register("w1", fingerprint()).unwrap();
         let runs = std::thread::scope(|scope| {
             let dispatch = scope.spawn(|| fleet.dispatch(1, &spec, &all));
@@ -971,7 +963,7 @@ def test_scale():
             "the fixture needs neighbours for the poisoned unit"
         );
         let poisoned = all[all.len() / 2];
-        let fleet = fleet(Duration::from_secs(5), 1, true);
+        let fleet = fleet(Duration::from_secs(5), 1);
         let reg = fleet.register("w1", fingerprint()).unwrap();
         // The worker abandons every assignment holding the poisoned unit
         // — as a worker that crashes on it would — and runs the rest.
@@ -1011,32 +1003,25 @@ def test_scale():
     }
 
     #[test]
-    fn without_a_live_worker_an_unsupervised_or_stopped_fleet_leaves_the_units_uncovered() {
+    fn without_a_live_worker_a_dispatch_waits_until_a_stop_leaves_the_units_uncovered() {
         let (spec, all) = fixture();
-        let unsupervised = fleet(Duration::from_millis(100), 2, false);
-        let runs = unsupervised.dispatch(1, &spec, &all);
-        assert!(runs.is_empty(), "nothing executes in the daemon");
-        // A supervised fleet waits for its workers instead — until a
-        // stop releases the dispatch.
-        let supervised = fleet(Duration::from_millis(100), 2, true);
+        let fleet = fleet(Duration::from_millis(100), 2);
         let runs = std::thread::scope(|scope| {
-            let dispatch = scope.spawn(|| supervised.dispatch(1, &spec, &all));
+            let dispatch = scope.spawn(|| fleet.dispatch(1, &spec, &all));
             std::thread::sleep(Duration::from_millis(150));
             assert!(!dispatch.is_finished(), "waits for a worker");
-            supervised.stop();
+            fleet.stop();
             dispatch.join().unwrap()
         });
-        assert!(runs.is_empty());
-        for fleet in [&unsupervised, &supervised] {
-            let failed = fleet.events.failed_units.load(Ordering::Relaxed);
-            assert_eq!(failed, all.len() as u64);
-        }
+        assert!(runs.is_empty(), "nothing executes in the daemon");
+        let failed = fleet.events.failed_units.load(Ordering::Relaxed);
+        assert_eq!(failed, all.len() as u64);
     }
 
     #[test]
     fn an_idle_poll_waits_for_work_and_stop_ends_the_wait() {
         let (spec, all) = fixture();
-        let fleet = Fleet::new(fingerprint(), Duration::from_secs(30), 2, None, true);
+        let fleet = Fleet::new(fingerprint(), Duration::from_secs(30), 2, None);
         let reg = fleet.register("w1", fingerprint()).unwrap();
         std::thread::scope(|scope| {
             let poll = scope.spawn(|| {
@@ -1070,7 +1055,7 @@ def test_scale():
     #[test]
     fn heartbeat_timeout_requeues_the_lease_and_fences_the_worker() {
         let (spec, all) = fixture();
-        let fleet = fleet(Duration::from_millis(60), 2, true);
+        let fleet = fleet(Duration::from_millis(60), 2);
         let reg = fleet.register("w1", fingerprint()).unwrap();
         seed_one(&fleet, &spec, &all);
         let lease = fleet.poll(reg.worker, reg.generation).unwrap().unwrap();
@@ -1114,7 +1099,6 @@ def test_scale():
                 Duration::from_secs(30),
                 2,
                 Some(Duration::from_millis(40)),
-                true,
             )
         };
         let reg = fleet.register("local-0", fingerprint()).unwrap();
@@ -1138,7 +1122,7 @@ def test_scale():
     #[test]
     fn losing_an_exited_worker_requeues_its_lease_at_once() {
         let (spec, all) = fixture();
-        let fleet = fleet(Duration::from_secs(30), 2, true);
+        let fleet = fleet(Duration::from_secs(30), 2);
         let reg = fleet.register("local-0", fingerprint()).unwrap();
         seed_one(&fleet, &spec, &all);
         fleet.poll(reg.worker, reg.generation).unwrap().unwrap();
@@ -1153,7 +1137,7 @@ def test_scale():
     #[test]
     fn duplicate_result_after_requeue_keeps_the_first_bytes() {
         let (spec, all) = fixture();
-        let fleet = fleet(Duration::from_millis(60), 2, true);
+        let fleet = fleet(Duration::from_millis(60), 2);
         let w1 = fleet.register("w1", fingerprint()).unwrap();
         seed_one(&fleet, &spec, &all);
         let lease = fleet.poll(w1.worker, w1.generation).unwrap().unwrap();
@@ -1186,7 +1170,7 @@ def test_scale():
     #[test]
     fn stale_generation_is_rejected_after_rejoin() {
         let (spec, all) = fixture();
-        let fleet = fleet(Duration::from_secs(5), 2, true);
+        let fleet = fleet(Duration::from_secs(5), 2);
         let old = fleet.register("w", fingerprint()).unwrap();
         seed_one(&fleet, &spec, &all);
         let lease = fleet.poll(old.worker, old.generation).unwrap().unwrap();
@@ -1220,7 +1204,7 @@ def test_scale():
     #[test]
     fn a_lease_abandoned_by_a_polling_worker_requeues_and_completes() {
         let (spec, all) = fixture();
-        let fleet = fleet(Duration::from_millis(500), 2, true);
+        let fleet = fleet(Duration::from_millis(500), 2);
         let reg = fleet.register("w1", fingerprint()).unwrap();
         let runs = std::thread::scope(|scope| {
             let dispatch = scope.spawn(|| fleet.dispatch(1, &spec, &all));
@@ -1238,7 +1222,7 @@ def test_scale():
 
     #[test]
     fn registration_rejects_a_mismatched_machine_fingerprint() {
-        let fleet = fleet(Duration::from_secs(5), 2, true);
+        let fleet = fleet(Duration::from_secs(5), 2);
         let err = fleet.register("w1", fingerprint() ^ 1).unwrap_err();
         assert!(matches!(err, FleetError::Mismatch(_)), "{err}");
     }

@@ -62,9 +62,10 @@ impl JobStatus {
 pub enum StartOutcome {
     /// The job flipped to `Running`; execute this spec.
     Run(Arc<CampaignSpec>),
-    /// The job out-waited its deadline budget; it is now `Failed` and
-    /// the caller records a deadline expiry (journal + metrics).
-    Expired,
+    /// The job out-waited its deadline budget. It is still `Queued`:
+    /// the caller fails it with this message through its one finish
+    /// path (journal first, then the table) and counts the expiry.
+    Expired(String),
     /// Unknown id or not `Queued` (each id is handed out once).
     Gone,
 }
@@ -175,14 +176,9 @@ impl JobTable {
         JobTable::default()
     }
 
-    /// Accepts a planned spec as a new queued job, returning its id
-    /// and the shared spec (the caller journals it).
-    pub fn submit(&self, spec: CampaignSpec) -> (u64, Arc<CampaignSpec>) {
-        self.submit_for(spec, "", Priority::Normal, None)
-    }
-
     /// Accepts a planned spec as a new queued job under a tenant with
-    /// a priority and an optional queue-deadline budget.
+    /// a priority and an optional queue-deadline budget, returning its
+    /// id and the shared spec (the caller journals it).
     pub fn submit_for(
         &self,
         spec: CampaignSpec,
@@ -278,25 +274,12 @@ impl JobTable {
         self.lock().jobs.get(&id).cloned()
     }
 
-    /// The rendered status body of one job, built under the lock.
-    pub fn status_json(&self, id: u64) -> Option<String> {
-        self.lock().jobs.get(&id).map(Job::render_status)
-    }
-
-    /// Marks the job running and hands its spec to a scheduler lane.
-    /// Returns `None` unless the job is currently `Queued` — the queue
-    /// hands each id out once, and a restart re-queues only jobs that
-    /// replayed as unfinished.
-    pub fn start(&self, id: u64) -> Option<Arc<CampaignSpec>> {
-        match self.start_or_expire(id) {
-            StartOutcome::Run(spec) => Some(spec),
-            _ => None,
-        }
-    }
-
-    /// Like [`JobTable::start`] but distinguishes a job whose queue
-    /// deadline already expired: the job flips straight to `Failed`
-    /// and the lane counts a deadline expiry instead of running it.
+    /// Marks the job running and hands its spec to a scheduler lane,
+    /// unless its queue deadline already expired: then the job is left
+    /// untouched and the lane gets the failure message instead. `Gone`
+    /// unless the job is currently `Queued` — the queue hands each id
+    /// out once, and a restart re-queues only jobs that replayed as
+    /// unfinished.
     pub fn start_or_expire(&self, id: u64) -> StartOutcome {
         let mut table = self.lock();
         let Some(job) = table.jobs.get_mut(&id) else {
@@ -308,11 +291,9 @@ impl JobTable {
         if let Some(budget) = job.deadline_ms {
             let waited = job.accepted_at.elapsed().as_millis() as u64;
             if waited > budget {
-                job.status = JobStatus::Failed(format!(
+                return StartOutcome::Expired(format!(
                     "deadline expired: waited {waited}ms in queue against a {budget}ms budget"
                 ));
-                table.evict_finished();
-                return StartOutcome::Expired;
             }
         }
         job.status = JobStatus::Running;
@@ -398,31 +379,46 @@ mod tests {
         CampaignSpec::from_campaign("demo", &campaign, 7)
     }
 
+    /// Submits under the anonymous tenant at normal priority with no
+    /// deadline, as a daemon without auth does.
+    fn submit(table: &JobTable) -> (u64, Arc<CampaignSpec>) {
+        table.submit_for(spec(), "", Priority::Normal, None)
+    }
+
+    /// Starts a queued job, returning its spec (`None` when the table
+    /// hands nothing out).
+    fn start(table: &JobTable, id: u64) -> Option<Arc<CampaignSpec>> {
+        match table.start_or_expire(id) {
+            StartOutcome::Run(spec) => Some(spec),
+            _ => None,
+        }
+    }
+
     #[test]
     fn jobs_progress_queued_running_done() {
         let table = JobTable::new();
-        let (id, _) = table.submit(spec());
+        let (id, _) = submit(&table);
         assert_eq!(table.get(id).unwrap().status, JobStatus::Queued);
-        let taken = table.start(id).expect("spec available");
+        let taken = start(&table, id).expect("spec available");
         assert_eq!(taken.program, "demo");
         assert_eq!(table.get(id).unwrap().status, JobStatus::Running);
-        assert!(table.start(id).is_none(), "a job starts once");
+        assert!(start(&table, id).is_none(), "a job starts once");
         table.finish(id, 3, 2, 0);
         let job = table.get(id).unwrap();
         assert_eq!(job.status, JobStatus::Done);
         assert_eq!((job.replayed, job.executed), (3, 2));
         assert_eq!(job.spec.program, "demo", "the spec outlives the run");
-        assert!(table.start(id).is_none(), "finished jobs don't restart");
+        assert!(start(&table, id).is_none(), "finished jobs don't restart");
     }
 
     #[test]
     fn ids_are_unique_and_unknown_ids_are_none() {
         let table = JobTable::new();
-        let (a, _) = table.submit(spec());
-        let (b, _) = table.submit(spec());
+        let (a, _) = submit(&table);
+        let (b, _) = submit(&table);
         assert_ne!(a, b);
         assert!(table.get(999).is_none());
-        assert!(table.start(999).is_none());
+        assert!(start(&table, 999).is_none());
     }
 
     #[test]
@@ -458,11 +454,11 @@ mod tests {
         assert_eq!(done.status, JobStatus::Done);
         assert_eq!(done.replayed, 4);
         assert!(
-            table.start(7).is_none(),
+            start(&table, 7).is_none(),
             "finished jobs are not restartable"
         );
-        assert!(table.start(9).is_some(), "recovered queued jobs run");
-        let (new_id, _) = table.submit(spec());
+        assert!(start(&table, 9).is_some(), "recovered queued jobs run");
+        let (new_id, _) = submit(&table);
         assert_eq!(new_id, 13, "new ids continue above the journal's fence");
     }
 
@@ -470,12 +466,12 @@ mod tests {
     fn finished_jobs_beyond_the_retention_cap_are_dropped_oldest_first() {
         let table = JobTable::new();
         // One job stays running the whole time: never evicted.
-        let (running, _) = table.submit(spec());
-        table.start(running);
+        let (running, _) = submit(&table);
+        start(&table, running);
         let mut finished_ids = Vec::new();
         for _ in 0..RETAINED_FINISHED_JOBS + 5 {
-            let (id, _) = table.submit(spec());
-            table.start(id);
+            let (id, _) = submit(&table);
+            start(&table, id);
             table.finish(id, 0, 1, 0);
             finished_ids.push(id);
         }
@@ -484,7 +480,6 @@ mod tests {
                 table.get(*dropped).is_none(),
                 "job {dropped} should be gone"
             );
-            assert!(table.status_json(*dropped).is_none());
         }
         for kept in &finished_ids[5..] {
             assert!(table.get(*kept).is_some(), "job {kept} should be retained");
@@ -499,7 +494,7 @@ mod tests {
     #[test]
     fn status_renders_error_only_when_failed() {
         let table = JobTable::new();
-        let (id, _) = table.submit(spec());
+        let (id, _) = submit(&table);
         assert!(table
             .get(id)
             .unwrap()
@@ -512,17 +507,21 @@ mod tests {
     }
 
     #[test]
-    fn an_expired_deadline_fails_the_job_instead_of_starting_it() {
+    fn an_expired_deadline_is_reported_instead_of_starting_the_job() {
         let table = JobTable::new();
         let (id, _) = table.submit_for(spec(), "alice", Priority::High, Some(0));
         std::thread::sleep(std::time::Duration::from_millis(5));
-        match table.start_or_expire(id) {
-            StartOutcome::Expired => {}
+        let message = match table.start_or_expire(id) {
+            StartOutcome::Expired(message) => message,
             other => panic!("expected Expired, got {other:?}"),
-        }
-        let job = table.get(id).unwrap();
-        assert_eq!(job.status.key(), "failed");
-        let rendered = job.render_status();
+        };
+        assert!(message.contains("deadline expired"), "{message}");
+        // The table shows nothing until the lane's finish path has
+        // journaled the failure and flipped it.
+        assert_eq!(table.get(id).unwrap().status, JobStatus::Queued);
+        table.fail(id, message);
+        let rendered = table.get(id).unwrap().render_status();
+        assert!(rendered.contains("\"status\":\"failed\""), "{rendered}");
         assert!(rendered.contains("deadline expired"), "{rendered}");
         assert!(
             matches!(table.start_or_expire(id), StartOutcome::Gone),
@@ -537,8 +536,8 @@ mod tests {
     #[test]
     fn finish_derives_failed_units_from_uncovered_ones() {
         let table = JobTable::new();
-        let (id, planned) = table.submit(spec());
-        table.start(id);
+        let (id, planned) = submit(&table);
+        start(&table, id);
         let units = planned.units.len();
         assert!(units >= 2, "test needs a multi-unit spec");
         table.finish(id, 1, units - 2, 0);
@@ -556,7 +555,7 @@ mod tests {
         assert_eq!(table.active_for_tenant("alice"), 2);
         assert_eq!(table.active_for_tenant("bob"), 1);
         assert_eq!(table.active_for_tenant(""), 0);
-        table.start(a);
+        start(&table, a);
         assert_eq!(table.active_for_tenant("alice"), 2, "running still counts");
         table.finish(a, 0, 0, 0);
         assert_eq!(table.active_for_tenant("alice"), 1, "finished does not");
@@ -571,7 +570,7 @@ mod tests {
     fn all_jobs_snapshots_in_id_order() {
         let table = JobTable::new();
         for _ in 0..3 {
-            table.submit(spec());
+            submit(&table);
         }
         let ids: Vec<u64> = table.all_jobs().iter().map(|j| j.id).collect();
         assert_eq!(ids, vec![1, 2, 3]);

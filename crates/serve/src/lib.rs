@@ -52,13 +52,12 @@
 //! Every shed, rejection, requeue, loss, and expiry is counted in
 //! `GET /v1/metrics`.
 //!
-//! Store misses execute through one of two dispatch tiers selected per
-//! job ([`nfi_core::DispatchTier`]): the [`fleet`] of `nfi worker`
+//! The daemon executes no campaign unit itself. Every store miss, of a
+//! job run or a document rebuild, goes to the [`fleet`] of `nfi worker`
 //! processes — the daemon's [`local`] children plus any remote nodes —
-//! which hash-shards the miss set and merges the returned shard
-//! documents byte-identically to the offline path; or, only in a
-//! daemon built without a worker binary (the library default) and with
-//! no live remote worker, in-process threads.
+//! which hash-shards the miss set and hands back shard documents that
+//! merge byte-identically to the offline path. The worker binary is
+//! therefore a required part of every [`ServeConfig`].
 //!
 //! Module map: [`http`] (bounded request/response codec), [`router`]
 //! (API handlers), [`auth`] (bearer tokens + tenancy), [`limit`]
@@ -84,7 +83,7 @@ use fleet::Fleet;
 use jobs::{JobStatus, JobTable, StartOutcome};
 use journal::{Journal, JournalOutcome};
 use limit::{Admission, RateLimiter};
-use nfi_core::{DispatchTier, IncrementalRun, Orchestrator, ShardRun};
+use nfi_core::{IncrementalRun, Orchestrator};
 use nfi_sfi::CampaignSpec;
 use nfi_telemetry::{families, log::log, trace, Level, Span, SpanRecord, Trace, TraceId};
 use queue::{JobQueue, Priority, PushOutcome};
@@ -109,15 +108,13 @@ const SHED_RETRY_AFTER_SECS: u64 = 2;
 pub struct ServeConfig {
     /// Incremental-store state directory (shared with offline runs).
     pub state_dir: PathBuf,
-    /// Local `nfi worker` children per lane (threads per job when
-    /// misses execute in-process).
+    /// Local `nfi worker` children per lane (at least 1).
     pub workers: usize,
-    /// Concurrent scheduler lanes (jobs executing at once).
+    /// Concurrent scheduler lanes (jobs executing at once; at least 1).
     pub lanes: usize,
-    /// The `nfi` binary the daemon starts `lanes × workers` local
-    /// `nfi worker` children from. `None` executes misses in-process
-    /// unless remote workers are live.
-    pub worker_binary: Option<PathBuf>,
+    /// The `nfi` binary the daemon starts its `lanes × workers` local
+    /// `nfi worker` children from.
+    pub worker_binary: PathBuf,
     /// Request-body cap in bytes.
     pub max_body: usize,
     /// Default scheduler seed for submissions that don't name one.
@@ -158,17 +155,17 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults: one worker, one lane, no worker binary (callers that
-    /// can spawn `nfi worker` should set one), the codec's body cap,
-    /// and every hardening knob at its permissive default — open auth,
-    /// no rate limit, unbounded queue, no deadlines, no assignment
-    /// timeout, two requeues.
-    pub fn new(state_dir: impl Into<PathBuf>) -> ServeConfig {
+    /// Defaults for a daemon over `state_dir` whose local workers run
+    /// `worker_binary` (an `nfi` build): one worker, one lane, the
+    /// codec's body cap, and every hardening knob at its permissive
+    /// default — open auth, no rate limit, unbounded queue, no
+    /// deadlines, no assignment timeout, two requeues.
+    pub fn new(state_dir: impl Into<PathBuf>, worker_binary: impl Into<PathBuf>) -> ServeConfig {
         ServeConfig {
             state_dir: state_dir.into(),
             workers: 1,
             lanes: 1,
-            worker_binary: None,
+            worker_binary: worker_binary.into(),
             max_body: http::DEFAULT_MAX_BODY,
             seed: nfi_pylite::MachineConfig::default().seed,
             auth: None,
@@ -205,7 +202,6 @@ struct Counters {
     connections_shed: AtomicU64,
     timeouts: AtomicU64,
     deadline_expiries: AtomicU64,
-    local_fallbacks: AtomicU64,
 }
 
 /// What the startup journal replay recovered (fixed after bind).
@@ -227,16 +223,18 @@ pub struct ServerState {
     /// The orchestrator every lane runs through — shared so its
     /// in-process segment-lock table covers all lanes.
     pub orch: Orchestrator,
-    /// The worker fleet: registry, assignment pool, and the dispatch
-    /// tier of every daemon with a worker binary.
+    /// The worker fleet: registry and assignment pool, where every
+    /// store miss executes.
     pub fleet: Fleet,
     /// The local workers' per-daemon secret ([`local::write_token`]).
-    local_token: Option<auth::AuthTokens>,
+    local_token: auth::AuthTokens,
     limiter: Option<RateLimiter>,
     journal: Mutex<Journal>,
     recovered: Recovered,
     counters: Counters,
-    shutdown: AtomicBool,
+    /// Set by the drain once the last lane has exited; the accept loop
+    /// serves (the workers' connections included) until then.
+    drained: AtomicBool,
     /// Exclusive `flock` on `<state_dir>/serve.lock`, held until
     /// [`ServeHandle::stop`] releases it (or the kernel does, on
     /// death). The journal and the local worker secret are
@@ -347,16 +345,6 @@ impl ServerState {
                 );
                 Ok(id)
             }
-            PushOutcome::Full => {
-                // The daemon queue is unbounded (the depth bound is the
-                // pre-check above, so journal-replay requeues never
-                // shed) — but handle a bounded queue racing full too.
-                let message = "job queue filled while accepting".to_string();
-                self.finish_under_journal(id, &JournalOutcome::Failed(message.clone()));
-                self.counters.failed.fetch_add(1, Ordering::Relaxed);
-                self.counters.queue_shed.fetch_add(1, Ordering::Relaxed);
-                Err(http::Response::shed(503, &message, SHED_RETRY_AFTER_SECS))
-            }
             PushOutcome::Shutdown => {
                 let message = "daemon is shutting down".to_string();
                 self.finish_under_journal(id, &JournalOutcome::Failed(message.clone()));
@@ -442,75 +430,29 @@ impl ServerState {
     }
 
     /// The `GET /v1/metrics` document: every [`metrics::METRICS`] row
-    /// by section, plus the process-wide cache counters and latency
-    /// summaries.
+    /// by section, plus the latency summaries.
     pub fn metrics_json(&self) -> String {
-        let histograms = nfi_telemetry::registry().snapshot();
-        metrics::render_json(self, &metrics::caches(), &histograms)
+        metrics::render_json(self, &nfi_telemetry::registry().snapshot())
     }
 
     /// The `GET /metrics` Prometheus text-format page — the same rows,
     /// plus the latency histograms with full bucket series.
     pub fn metrics_prometheus(&self) -> String {
-        let histograms = nfi_telemetry::registry().snapshot();
-        metrics::render_prometheus(self, &metrics::caches(), &histograms)
-    }
-
-    /// The dispatch tier the next job would execute under: the fleet
-    /// whenever the daemon starts local workers or any remote worker is
-    /// live, else in-process threads. Re-evaluated per job, so a daemon
-    /// without a worker binary rides remote fleet membership up and
-    /// down without restarting.
-    pub fn dispatch_tier(&self) -> DispatchTier {
-        if self.config.worker_binary.is_some() || self.fleet.live_workers() > 0 {
-            DispatchTier::RemoteWorkers
-        } else {
-            DispatchTier::LocalThreads
-        }
-    }
-
-    /// Executes the `missing` units of `spec` on the tier
-    /// [`Self::dispatch_tier`] picks: the dispatcher of job runs and
-    /// document rebuilds alike.
-    ///
-    /// # Errors
-    ///
-    /// Reports an in-process execution failure.
-    fn dispatch(
-        &self,
-        job: u64,
-        spec: &CampaignSpec,
-        missing: &[usize],
-    ) -> Result<Vec<ShardRun>, String> {
-        let tier = self.dispatch_tier();
-        log(
-            Level::Debug,
-            "dispatch_tier",
-            &[("id", &job.to_string()), ("tier", tier.label())],
-        );
-        match tier {
-            DispatchTier::RemoteWorkers => Ok(self.fleet.dispatch(job, spec, missing)),
-            DispatchTier::LocalThreads => {
-                self.counters
-                    .local_fallbacks
-                    .fetch_add(1, Ordering::Relaxed);
-                self.orch.dispatch(spec, missing)
-            }
-        }
+        metrics::render_prometheus(self, &nfi_telemetry::registry().snapshot())
     }
 
     /// Re-executes a finished job whose segment no longer replays in
-    /// full, **read-only**: every unit is dispatched and the runs
+    /// full, **read-only**: every unit goes to the fleet and the runs
     /// merge, but nothing is saved — a read endpoint must not prune
     /// segments, or two finished jobs planned from different sources of
     /// one program would evict each other's on alternating fetches.
     ///
     /// # Errors
     ///
-    /// Reports an in-process execution or merge failure.
+    /// Reports a merge failure (no unit came back).
     pub fn rebuild_document(&self, job: u64, spec: &CampaignSpec) -> Result<String, String> {
         let all: Vec<usize> = spec.units.iter().map(|u| u.index).collect();
-        Ok(nfi_core::merge(&self.dispatch(job, spec, &all)?)?.encode())
+        Ok(nfi_core::merge(&self.fleet.dispatch(job, spec, &all))?.encode())
     }
 }
 
@@ -530,18 +472,25 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Reports an unbindable address, an uncreatable state dir, a
-    /// state dir another daemon is already serving, or an
+    /// Reports zero lanes or workers (such a daemon would wait forever
+    /// on its first miss), an unbindable address, an uncreatable state
+    /// dir, a state dir another daemon is already serving, or an
     /// unreadable/unwritable journal.
     pub fn bind(
         addr: impl ToSocketAddrs + std::fmt::Debug,
         config: ServeConfig,
     ) -> Result<Server, String> {
+        if config.lanes == 0 || config.workers == 0 {
+            return Err(format!(
+                "a daemon needs at least one lane and one local worker per lane, got {} lane(s) \
+                 and {} worker(s)",
+                config.lanes, config.workers
+            ));
+        }
         let daemon_lock = acquire_daemon_lock(&config.state_dir)?;
         // Orchestrator::new opens (creating if needed) the campaign
         // store, so an uncreatable state dir surfaces here.
         let orch = Orchestrator::new(&config.state_dir).map(|orch| Orchestrator {
-            workers: config.workers,
             seed: config.seed,
             ..orch
         })?;
@@ -553,12 +502,8 @@ impl Server {
             config.heartbeat_timeout,
             config.assignment_requeues,
             config.assignment_timeout,
-            config.worker_binary.is_some(),
         );
-        let local_token = match &config.worker_binary {
-            Some(_) => Some(local::write_token(&config.state_dir)?),
-            None => None,
-        };
+        let local_token = local::write_token(&config.state_dir)?;
         let (journal, replay) = Journal::open(&config.state_dir)?;
         let listener =
             TcpListener::bind(&addr).map_err(|e| format!("cannot bind {addr:?}: {e}"))?;
@@ -584,7 +529,7 @@ impl Server {
                 ..Recovered::default()
             },
             counters: Counters::default(),
-            shutdown: AtomicBool::new(false),
+            drained: AtomicBool::new(false),
             daemon_lock: Mutex::new(Some(daemon_lock)),
             live: Mutex::new(HashMap::new()),
             next_connection: AtomicU64::new(0),
@@ -654,29 +599,23 @@ impl Server {
 
     /// Serves until shut down: starts the local workers and the
     /// scheduler lanes, then accepts connections, one handler thread
-    /// each. The local workers outlive the lanes, which drain every
-    /// accepted job before this returns.
+    /// each. After [`ServeHandle::stop`] the lanes drain every accepted
+    /// job on the still-running workers, whose connections the accept
+    /// loop keeps serving until the last lane exits.
     ///
     /// # Errors
     ///
     /// Reports a worker binary that cannot be spawned and lane or
     /// accept-loop setup failures.
     pub fn run(self) -> Result<(), String> {
-        let supervisor = match &self.state.config.worker_binary {
-            Some(binary) => Some(supervise(
-                Arc::clone(&self.state),
-                binary,
-                self.local_addr()?,
-            )?),
-            None => None,
-        };
+        let addr = self.local_addr()?;
+        let config = &self.state.config;
+        let supervisor = supervise(Arc::clone(&self.state), &config.worker_binary, addr)?;
         // Each local worker holds two keep-alive connections (its polls
         // and its heartbeats) on top of the clients' cap.
-        let config = &self.state.config;
-        let cap = config.max_connections
-            + 2 * usize::from(supervisor.is_some()) * config.lanes * config.workers;
-        let mut lanes = Vec::with_capacity(self.state.config.lanes);
-        for lane in 0..self.state.config.lanes {
+        let cap = config.max_connections + 2 * config.lanes * config.workers;
+        let mut lanes = Vec::with_capacity(config.lanes);
+        for lane in 0..config.lanes {
             let state = Arc::clone(&self.state);
             let thread = std::thread::Builder::new()
                 .name(format!("nfi-serve-lane-{lane}"))
@@ -684,8 +623,22 @@ impl Server {
                 .map_err(|e| format!("cannot start scheduler lane {lane}: {e}"))?;
             lanes.push(thread);
         }
+        // Once the last lane has drained, wake the accept loop to exit.
+        let drain = {
+            let state = Arc::clone(&self.state);
+            std::thread::Builder::new()
+                .name("nfi-serve-drain".into())
+                .spawn(move || {
+                    for lane in lanes {
+                        let _ = lane.join();
+                    }
+                    state.drained.store(true, Ordering::SeqCst);
+                    let _ = TcpStream::connect(addr);
+                })
+                .map_err(|e| format!("cannot start the drain thread: {e}"))?
+        };
         for stream in self.listener.incoming() {
-            if self.state.shutdown.load(Ordering::SeqCst) {
+            if self.state.drained.load(Ordering::SeqCst) {
                 break;
             }
             let Ok(stream) = stream else {
@@ -729,16 +682,11 @@ impl Server {
                     .fetch_sub(1, Ordering::SeqCst);
             }
         }
-        // Drain: no new pushes, the lanes finish accepted jobs on the
-        // still-running workers; then the workers go and idle polls end.
-        self.state.queue.shutdown();
-        for lane in lanes {
-            let _ = lane.join();
-        }
-        if let Some((stop, thread)) = supervisor {
-            drop(stop);
-            let _ = thread.join();
-        }
+        // Drained: the workers go, and idle polls end.
+        let _ = drain.join();
+        let (stop, thread) = supervisor;
+        drop(stop);
+        let _ = thread.join();
         self.state.fleet.stop();
         Ok(())
     }
@@ -778,12 +726,12 @@ impl ServeHandle {
         &self.state
     }
 
-    /// Stops the daemon: the queue drains its accepted jobs across the
-    /// lanes, the accept loop is woken and exits, the serving thread is
-    /// joined (the local workers are killed and reaped by then), open
-    /// connections are closed and their threads finish, and
-    /// `serve.lock` is released — so a new daemon can bind the same
-    /// state dir as soon as this returns.
+    /// Stops the daemon: the queue takes no new jobs and drains its
+    /// accepted ones across the lanes, the accept loop exits once they
+    /// are done, the serving thread is joined (the local workers are
+    /// killed and reaped by then), open connections are closed and
+    /// their threads finish, and `serve.lock` is released — so a new
+    /// daemon can bind the same state dir as soon as this returns.
     pub fn stop(mut self) {
         self.shutdown();
     }
@@ -792,10 +740,7 @@ impl ServeHandle {
         let Some(thread) = self.thread.take() else {
             return;
         };
-        self.state.shutdown.store(true, Ordering::SeqCst);
         self.state.queue.shutdown();
-        // Wake the blocking accept call.
-        let _ = TcpStream::connect(self.addr);
         let _ = thread.join();
         // Connection threads hold the state (and so the lock file) until
         // they exit; an idle keep-alive one would wait out its read
@@ -885,33 +830,22 @@ fn acquire_daemon_lock(state_dir: &std::path::Path) -> Result<std::fs::File, Str
 }
 
 /// One scheduler lane: pops job ids (tenant-fair, priority-ordered),
-/// runs each through the fleet and the incremental store,
-/// records the outcome. A job that out-waited its queue deadline fails
-/// here — counted, journaled — instead of running late. Lanes compete
-/// for the queue head; jobs on the same (program, machine-fp) segment
-/// serialize inside the orchestrator's segment lock, which is why N
-/// lanes preserve the serve-vs-offline byte-parity invariant.
+/// runs each through the fleet and the incremental store, records the
+/// outcome. A job that out-waited its queue deadline fails here —
+/// journaled before it shows, counted — instead of running late. Lanes
+/// compete for the queue head; jobs on the same (program, machine-fp)
+/// segment serialize inside the orchestrator's segment lock, which is
+/// why N lanes preserve the serve-vs-offline byte-parity invariant.
 fn scheduler_loop(state: &ServerState) {
     while let Some(id) = state.queue.pop() {
         let spec = match state.jobs.start_or_expire(id) {
             StartOutcome::Run(spec) => spec,
-            StartOutcome::Expired => {
+            StartOutcome::Expired(message) => {
                 state
                     .counters
                     .deadline_expiries
                     .fetch_add(1, Ordering::Relaxed);
-                // The table already holds the failure message; the
-                // journal record makes the expiry crash-durable.
-                let Some(job) = state.jobs.get(id) else {
-                    continue;
-                };
-                let message = match job.status {
-                    JobStatus::Failed(msg) => msg,
-                    _ => "deadline expired".to_string(),
-                };
-                let mut journal = state.journal();
-                let _ = journal.record_finished(id, &JournalOutcome::Failed(message));
-                state.counters.failed.fetch_add(1, Ordering::Relaxed);
+                state.record_failed(id, message);
                 continue;
             }
             StartOutcome::Gone => continue,
@@ -941,9 +875,9 @@ fn scheduler_loop(state: &ServerState) {
             trace::push_context(trace, 0)
         });
         let run_span = Span::enter("run");
-        let run = state
-            .orch
-            .run_spec_with(&spec, |spec, missing| state.dispatch(id, spec, missing));
+        let run = state.orch.run_spec_with(&spec, |spec, missing| {
+            Ok(state.fleet.dispatch(id, spec, missing))
+        });
         match run {
             Ok(run) => state.record_done(id, &run),
             Err(message) => state.record_failed(id, message),
@@ -1161,10 +1095,7 @@ fn admit_and_route(
     // the loopback address with local clients, whose bucket their
     // polls must not drain.
     let authorization = request.header("authorization");
-    let local = state
-        .local_token
-        .as_ref()
-        .is_some_and(|t| t.authenticate(authorization).is_some());
+    let local = state.local_token.authenticate(authorization).is_some();
     if let (Some(limiter), Some(ip), false) = (&state.limiter, peer, local) {
         if let Admission::Shed { retry_after_secs } = limiter.allow(ip) {
             state.counters.rate_limited.fetch_add(1, Ordering::Relaxed);

@@ -209,7 +209,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let binary = fake_nfi(&dir, "exec sleep 600");
         let fp = nfi_pylite::MachineConfig::default().fingerprint();
-        let fleet = Fleet::new(fp, Duration::from_secs(30), 2, None, true);
+        let fleet = Fleet::new(fp, Duration::from_secs(30), 2, None);
         let mut local =
             LocalWorkers::start(&binary, "0.0.0.0:9".parse().unwrap(), &dir, 2).unwrap();
         assert_eq!(local.addr, "127.0.0.1:9".parse().unwrap());

@@ -6,12 +6,10 @@
 //! walk that table — [`render_json`] for `GET /v1/metrics` and
 //! [`render_prometheus`] for `GET /metrics` — so they cannot disagree.
 //!
-//! Two parts of the pages are not rows. The four process-wide caches
-//! each render the same six JSON fields and four families, and the
-//! latency histograms come from the telemetry registry.
+//! One part of the pages is not rows: the latency histograms, which
+//! come from the telemetry registry.
 
 use crate::ServerState;
-use nfi_core::cache::{CacheStats, CodeCache, ExperimentCache, MutantCache, SuiteCache};
 use nfi_core::metrics::LatencySummary;
 use nfi_telemetry::{families, hist::SeriesSnapshot, prom::PromText};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -310,48 +308,6 @@ pub const METRICS: &[Metric] = &[
         help: FLEET_EVENT_HELP,
         get: |s| load(&s.fleet.events.stale_rejections),
     },
-    Metric {
-        json: ("fleet", "local_fallbacks"),
-        prom: (
-            "nfi_fleet_assignments_total",
-            Some(("kind", "local_fallback")),
-        ),
-        kind: Kind::Counter,
-        help: FLEET_ASSIGN_HELP,
-        get: |s| load(&s.counters.local_fallbacks),
-    },
-];
-
-/// Reads one counter of a cache.
-type CacheField = fn(&CacheStats) -> u64;
-
-/// The per-cache families, each labelled `cache="<name>"`: (family,
-/// help, kind, value).
-const CACHE_FAMILIES: [(&str, &str, Kind, CacheField); 4] = [
-    (
-        "nfi_cache_hits_total",
-        "Cache hits, by cache.",
-        Kind::Counter,
-        |c| c.hits,
-    ),
-    (
-        "nfi_cache_misses_total",
-        "Cache misses, by cache.",
-        Kind::Counter,
-        |c| c.misses,
-    ),
-    (
-        "nfi_cache_evictions_total",
-        "Cache evictions, by cache.",
-        Kind::Counter,
-        |c| c.evictions,
-    ),
-    (
-        "nfi_cache_entries",
-        "Resident cache entries, by cache.",
-        Kind::Gauge,
-        |c| c.entries as u64,
-    ),
 ];
 
 /// The telemetry histogram families: (registry family, Prometheus
@@ -374,37 +330,11 @@ const HISTOGRAMS: [(&str, &str, &str); 3] = [
     ),
 ];
 
-/// The process-wide caches by name, in page order.
-pub fn caches() -> [(&'static str, CacheStats); 4] {
-    [
-        ("mutant", MutantCache::global().stats()),
-        ("experiment", ExperimentCache::global().stats()),
-        ("suite", SuiteCache::global().stats()),
-        ("code", CodeCache::global().stats()),
-    ]
-}
-
-fn cache_json(c: &CacheStats) -> String {
-    format!(
-        "{{\"hits\":{},\"misses\":{},\"hit_rate\":{:.3},\"entries\":{},\"evictions\":{},\"capacity\":{}}}",
-        c.hits,
-        c.misses,
-        c.hit_rate(),
-        c.entries,
-        c.evictions,
-        c.capacity.map_or("null".to_string(), |n| n.to_string()),
-    )
-}
-
 /// The `/v1/metrics` document: each section of [`METRICS`] as an
 /// object, with two additions kept for existing consumers — the
-/// derived `store.hit_rate`, and the cache and `latency` sections just
-/// before `fleet` (the section added last).
-pub fn render_json(
-    state: &ServerState,
-    caches: &[(&str, CacheStats)],
-    histograms: &[SeriesSnapshot],
-) -> String {
+/// derived `store.hit_rate`, and the `latency` section just before
+/// `fleet` (the section added last).
+pub fn render_json(state: &ServerState, histograms: &[SeriesSnapshot]) -> String {
     let mut sections: Vec<(&str, Vec<String>)> = Vec::new();
     for m in METRICS {
         let (section, key) = m.json;
@@ -426,9 +356,6 @@ pub fn render_json(
             fields.push(format!("\"hit_rate\":{rate:.3}"));
         }
         if section == "fleet" {
-            for (name, stats) in caches {
-                parts.push(format!("\"{name}_cache\":{}", cache_json(stats)));
-            }
             let latency = LatencySummary::from_series(histograms);
             parts.push(format!("\"latency\":{}", latency.render_json()));
         }
@@ -439,13 +366,9 @@ pub fn render_json(
 
 /// The `/metrics` page: every [`METRICS`] row, grouped by family in
 /// the order each family first appears (the text format requires a
-/// family's lines to form one group), then the cache families and the
-/// latency histograms with their full bucket series.
-pub fn render_prometheus(
-    state: &ServerState,
-    caches: &[(&str, CacheStats)],
-    histograms: &[SeriesSnapshot],
-) -> String {
+/// family's lines to form one group), then the latency histograms with
+/// their full bucket series.
+pub fn render_prometheus(state: &ServerState, histograms: &[SeriesSnapshot]) -> String {
     let mut p = PromText::new();
     let mut families: Vec<&str> = Vec::new();
     for m in METRICS {
@@ -457,11 +380,6 @@ pub fn render_prometheus(
         for m in METRICS.iter().filter(|m| m.prom.0 == family) {
             let (labels, value) = (m.prom.1.as_slice(), (m.get)(state));
             m.kind.render(&mut p, family, m.help, labels, value);
-        }
-    }
-    for (family, help, kind, value) in CACHE_FAMILIES {
-        for (name, stats) in caches {
-            kind.render(&mut p, family, help, &[("cache", *name)], value(stats));
         }
     }
     for (source, family, help) in HISTOGRAMS {
@@ -486,20 +404,20 @@ mod tests {
     use std::collections::BTreeSet;
     use std::sync::Arc;
 
-    /// `/v1/metrics` and `/metrics` as the hand-written renderers this
-    /// table replaced produced them, for the numbers [`bound_state`] and
-    /// [`caches`] set and the histograms [`histograms`] records.
+    /// `/v1/metrics` and `/metrics` for the numbers [`bound_state`]
+    /// sets and the histograms [`histograms`] records.
     const JSON: &str = include_str!("../tests/fixtures/metrics.json");
     const PROM: &str = include_str!("../tests/fixtures/metrics.prom");
 
-    /// A bound daemon whose 35 numbers are all distinct, so a getter
+    /// A bound daemon whose 34 numbers are all distinct, so a getter
     /// that reads another row's source shows up in its value.
     fn bound_state(tag: &str) -> (Server, std::path::PathBuf) {
         let dir = std::env::temp_dir().join(format!("nfi-metrics-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        // Bound, never run: no worker is ever started from the binary.
         let config = ServeConfig {
             lanes: 2,
-            ..ServeConfig::new(&dir)
+            ..ServeConfig::new(&dir, "nfi")
         };
         let mut server = Server::bind("127.0.0.1:0", config).unwrap();
         let s = Arc::get_mut(&mut server.state).expect("not serving yet");
@@ -553,27 +471,10 @@ mod tests {
             (&f.failed, 127),
             (&f.duplicate_results, 131),
             (&f.stale_rejections, 137),
-            (&c.local_fallbacks, 149),
         ] {
             counter.store(value, Ordering::Relaxed);
         }
         (server, dir)
-    }
-
-    fn caches() -> [(&'static str, CacheStats); 4] {
-        let stats = |base: u64, capacity| CacheStats {
-            hits: base + 201,
-            misses: base + 2,
-            entries: base as usize + 3,
-            evictions: base + 4,
-            capacity,
-        };
-        [
-            ("mutant", stats(1000, Some(1005))),
-            ("experiment", stats(2000, None)),
-            ("suite", stats(3000, Some(3005))),
-            ("code", stats(4000, Some(4005))),
-        ]
     }
 
     fn histograms() -> Vec<SeriesSnapshot> {
@@ -618,15 +519,11 @@ mod tests {
     fn both_views_match_the_captured_fixture() {
         let (server, dir) = bound_state("views");
         let state = server.state();
-        assert_eq!(render_json(&state, &caches(), &histograms()), JSON);
-        let page = render_prometheus(&state, &caches(), &histograms());
+        assert_eq!(render_json(&state, &histograms()), JSON);
+        let page = render_prometheus(&state, &histograms());
         nfi_telemetry::prom::check_conformance(&page)
             .unwrap_or_else(|e| panic!("non-conformant page: {e}\n{page}"));
-        let lines = |page: &str| page.lines().map(str::to_string).collect::<BTreeSet<_>>();
-        assert_eq!(lines(&page), lines(PROM));
-        // Same lines, regrouped: the fixture interleaves the cache
-        // families, which the text format forbids.
-        assert!(nfi_telemetry::prom::check_conformance(PROM).is_err());
+        assert_eq!(page, PROM);
         drop(server);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -657,9 +554,6 @@ mod tests {
             };
             let row = format!("| `{}.{}` | `{series}` |", m.json.0, m.json.1);
             assert!(reference.contains(&row), "docs/OPERATIONS.md lacks {row}");
-        }
-        for family in CACHE_FAMILIES.map(|(f, ..)| f) {
-            assert!(reference.contains(family), "docs lack {family}");
         }
         for family in HISTOGRAMS.map(|(_, f, _)| f) {
             assert!(reference.contains(family), "docs lack {family}");

@@ -9,10 +9,11 @@
 //! [`Priority::Normal`]) the queue degenerates to the plain FIFO the
 //! daemon always had.
 //!
-//! Depth is bounded when the daemon asks for it: a full queue rejects
-//! the push ([`PushOutcome::Full`]) so the HTTP edge can shed with
-//! `503 Retry-After` instead of piling unbounded work onto the
-//! condvar. The queue makes no exclusivity promise about *segments* —
+//! The queue itself is unbounded: the daemon's depth bound is an
+//! admission check before the journal append
+//! ([`crate::ServerState::accept`]), so a job recovered from the
+//! journal always re-queues. The queue makes no exclusivity promise
+//! about *segments* —
 //! two jobs on the same program can be in flight on two lanes at once —
 //! because store writers serialize behind the per-(program,
 //! machine-fp) segment locks in `nfi_core::store`.
@@ -69,8 +70,6 @@ impl Priority {
 pub enum PushOutcome {
     /// The job id is queued.
     Queued,
-    /// The queue is at its depth bound; the caller sheds the request.
-    Full,
     /// The queue is shut down; the id was dropped.
     Shutdown,
 }
@@ -90,8 +89,6 @@ struct Inner {
     tenants: Vec<TenantBand>,
     cursor: usize,
     depth: usize,
-    /// 0 = unbounded.
-    max_depth: usize,
     shutdown: bool,
 }
 
@@ -117,29 +114,11 @@ impl JobQueue {
         JobQueue::default()
     }
 
-    /// An empty queue shedding pushes beyond `max_depth` waiting jobs
-    /// (0 = unbounded).
-    pub fn bounded(max_depth: usize) -> JobQueue {
-        let queue = JobQueue::default();
-        queue.lock().max_depth = max_depth;
-        queue
-    }
-
-    /// Enqueues a job id under the anonymous tenant at normal
-    /// priority. Returns `false` (dropping the id) after shutdown or
-    /// when the depth bound sheds it.
-    pub fn push(&self, id: u64) -> bool {
-        self.push_for("", Priority::Normal, id) == PushOutcome::Queued
-    }
-
     /// Enqueues a job id into a tenant's band at a priority.
     pub fn push_for(&self, tenant: &str, priority: Priority, id: u64) -> PushOutcome {
         let mut inner = self.lock();
         if inner.shutdown {
             return PushOutcome::Shutdown;
-        }
-        if inner.max_depth > 0 && inner.depth >= inner.max_depth {
-            return PushOutcome::Full;
         }
         let at = match inner.tenants.iter().position(|b| b.tenant == tenant) {
             Some(at) => at,
@@ -178,17 +157,6 @@ impl JobQueue {
     /// Jobs currently waiting across every tenant.
     pub fn depth(&self) -> usize {
         self.lock().depth
-    }
-
-    /// Jobs currently waiting for one tenant.
-    pub fn depth_for(&self, tenant: &str) -> usize {
-        self.lock()
-            .tenants
-            .iter()
-            .filter(|b| b.tenant == tenant)
-            .flat_map(|b| b.lanes.iter())
-            .map(VecDeque::len)
-            .sum()
     }
 
     /// Stops accepting pushes and wakes every blocked `pop`.
@@ -248,11 +216,17 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// Pushes under the anonymous tenant at normal priority, as a
+    /// daemon without auth does.
+    fn push(q: &JobQueue, id: u64) -> PushOutcome {
+        q.push_for("", Priority::Normal, id)
+    }
+
     #[test]
     fn fifo_order_and_depth() {
         let q = JobQueue::new();
-        assert!(q.push(1));
-        assert!(q.push(2));
+        assert_eq!(push(&q, 1), PushOutcome::Queued);
+        assert_eq!(push(&q, 2), PushOutcome::Queued);
         assert_eq!(q.depth(), 2);
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
@@ -267,16 +241,20 @@ mod tests {
             std::thread::spawn(move || q.pop())
         };
         std::thread::sleep(std::time::Duration::from_millis(20));
-        assert!(q.push(7));
+        assert_eq!(push(&q, 7), PushOutcome::Queued);
         assert_eq!(popper.join().unwrap(), Some(7));
     }
 
     #[test]
     fn shutdown_drains_pending_then_reports_none() {
         let q = JobQueue::new();
-        q.push(1);
+        push(&q, 1);
         q.shutdown();
-        assert!(!q.push(2), "pushes rejected after shutdown");
+        assert_eq!(
+            push(&q, 2),
+            PushOutcome::Shutdown,
+            "pushes rejected after shutdown"
+        );
         assert_eq!(q.pop(), Some(1), "pending work drains first");
         assert_eq!(q.pop(), None);
     }
@@ -291,21 +269,6 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.shutdown();
         assert_eq!(popper.join().unwrap(), None);
-    }
-
-    #[test]
-    fn bounded_queue_sheds_when_full_and_drains_back_open() {
-        let q = JobQueue::bounded(2);
-        assert_eq!(q.push_for("a", Priority::Normal, 1), PushOutcome::Queued);
-        assert_eq!(q.push_for("b", Priority::Normal, 2), PushOutcome::Queued);
-        assert_eq!(q.push_for("a", Priority::Normal, 3), PushOutcome::Full);
-        assert_eq!(q.depth(), 2);
-        assert!(q.pop().is_some());
-        assert_eq!(
-            q.push_for("a", Priority::Normal, 3),
-            PushOutcome::Queued,
-            "a drained queue admits again"
-        );
     }
 
     #[test]
@@ -337,15 +300,16 @@ mod tests {
     }
 
     #[test]
-    fn tenant_depth_is_tracked_separately() {
+    fn depth_counts_every_tenant_band() {
         let q = JobQueue::new();
         q.push_for("a", Priority::Normal, 1);
         q.push_for("a", Priority::High, 2);
         q.push_for("b", Priority::Normal, 3);
-        assert_eq!(q.depth_for("a"), 2);
-        assert_eq!(q.depth_for("b"), 1);
-        assert_eq!(q.depth_for("missing"), 0);
         assert_eq!(q.depth(), 3);
+        assert_eq!(q.pop(), Some(2), "tenant a's high job first");
+        assert_eq!(q.depth(), 2);
+        assert_eq!(q.pop(), Some(3), "then tenant b's turn");
+        assert_eq!(q.depth(), 1);
     }
 
     #[test]

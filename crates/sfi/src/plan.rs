@@ -319,7 +319,7 @@ impl CampaignSpec {
     /// global and units carry their own seeds, a subset's outcome
     /// lines are byte-for-byte the lines a full local run would have
     /// produced for those units — the foundation of the
-    /// byte-identical-merge guarantee across all dispatch tiers.
+    /// byte-identical-merge guarantee across all executors.
     pub fn subset(&self, indices: &[usize]) -> CampaignSpec {
         let wanted: std::collections::HashSet<usize> = indices.iter().copied().collect();
         CampaignSpec {

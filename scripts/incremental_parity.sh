@@ -51,7 +51,7 @@ field() { # field <log> <program> <field>
 }
 
 echo "== cold run =="
-"$NFI" campaign run --state-dir "$WORK/state" --workers 2 "${FILES[@]}" | tee "$WORK/cold.log"
+"$NFI" campaign run --state-dir "$WORK/state" --threads 2 "${FILES[@]}" | tee "$WORK/cold.log"
 mkdir -p "$WORK/cold-docs"
 for p in "${PROGRAMS[@]}"; do
   [ "$(field "$WORK/cold.log" "$p" replayed)" = 0 ] \
@@ -62,7 +62,7 @@ for p in "${PROGRAMS[@]}"; do
 done
 
 echo "== warm re-run (unchanged sources) =="
-"$NFI" campaign run --state-dir "$WORK/state" --workers 2 "${FILES[@]}" | tee "$WORK/warm.log"
+"$NFI" campaign run --state-dir "$WORK/state" --threads 2 "${FILES[@]}" | tee "$WORK/warm.log"
 for p in "${PROGRAMS[@]}"; do
   [ "$(field "$WORK/warm.log" "$p" executed)" = 0 ] \
     || { echo "FAIL: $p warm run re-executed units with unchanged sources" >&2; exit 1; }
@@ -97,7 +97,7 @@ check_scratch_parity() { # check_scratch_parity <scratch-dir> <phase>
 
 echo "== edit matrix a: comment-only edit to $EDITED =="
 echo "# parity probe: comments never reach the canonical form" >> "$WORK/src/$EDITED.py"
-"$NFI" campaign run --state-dir "$WORK/state" --workers 2 "${FILES[@]}" | tee "$WORK/edit-comment.log"
+"$NFI" campaign run --state-dir "$WORK/state" --threads 2 "${FILES[@]}" | tee "$WORK/edit-comment.log"
 [ "$(field "$WORK/edit-comment.log" "$EDITED" executed)" = 0 ] \
   || { echo "FAIL: comment-only edit re-executed units" >&2; exit 1; }
 [ "$(field "$WORK/edit-comment.log" "$EDITED" anchor_replayed)" = 0 ] \
@@ -113,7 +113,7 @@ if [ "$EDITED" = ecommerce ]; then
     || { echo "FAIL: body-edit sed target not found in $EDITED" >&2; exit 1; }
   in_fn=$("$NFI" campaign plan --file "$WORK/src/$EDITED.py" --as "$EDITED" 2>/dev/null \
     | grep -c '"function":"charge_payment"')
-  "$NFI" campaign run --state-dir "$WORK/state" --workers 2 "${FILES[@]}" | tee "$WORK/edit-body.log"
+  "$NFI" campaign run --state-dir "$WORK/state" --threads 2 "${FILES[@]}" | tee "$WORK/edit-body.log"
   units=$(field "$WORK/edit-body.log" "$EDITED" units)
   executed=$(field "$WORK/edit-body.log" "$EDITED" executed)
   anchored=$(field "$WORK/edit-body.log" "$EDITED" anchor_replayed)
@@ -131,7 +131,7 @@ echo "== edit matrix c: add an uncalled function to $EDITED =="
 before=$("$NFI" campaign plan --file "$WORK/src/$EDITED.py" --as "$EDITED" 2>&1 >/dev/null \
   | sed -n 's/^planned \([0-9]*\) units.*/\1/p')
 printf 'def parity_probe(x):\n    y = x + 1\n    return y\n' >> "$WORK/src/$EDITED.py"
-"$NFI" campaign run --state-dir "$WORK/state" --workers 2 "${FILES[@]}" | tee "$WORK/edit-add.log"
+"$NFI" campaign run --state-dir "$WORK/state" --threads 2 "${FILES[@]}" | tee "$WORK/edit-add.log"
 units=$(field "$WORK/edit-add.log" "$EDITED" units)
 executed=$(field "$WORK/edit-add.log" "$EDITED" executed)
 replayed=$(field "$WORK/edit-add.log" "$EDITED" replayed)

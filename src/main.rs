@@ -40,7 +40,7 @@ USAGE:
   nfi campaign plan (--program <name> | --file <path>) [--as <name>] [--seed N] [--out PATH]
   nfi campaign exec --plan PATH [--shard i/n] [--threads N] [--no-cache] [--out PATH]
   nfi campaign merge <run.jsonl>... [--out PATH]
-  nfi campaign run --state-dir <dir> [--workers N] [--threads N] [--seed N] [--as <name>]
+  nfi campaign run --state-dir <dir> [--threads N] [--seed N] [--as <name>]
                    [--no-anchor-reuse] [--out-dir DIR] [--trace]
                    [--program <name> | --file <path> | <file>...]
   nfi serve --state-dir <dir> [--addr IP:PORT | --port N] [--workers N] [--lanes N]
@@ -131,7 +131,7 @@ fn accepted_flags(command: &str, sub: Option<&str>) -> Option<&'static str> {
         ("campaign", Some("exec")) => "plan shard threads no-cache out",
         ("campaign", Some("merge")) => "out",
         ("campaign", Some("run")) => {
-            "state-dir workers threads seed as no-anchor-reuse out-dir trace program file"
+            "state-dir threads seed as no-anchor-reuse out-dir trace program file"
         }
         ("serve", _) => {
             "state-dir addr port workers lanes seed auth-token-file rate-limit rate-burst \
@@ -419,13 +419,8 @@ fn exec_config(flags: &HashMap<&str, &str>) -> Result<nfi_core::exec::ExecConfig
     }
 }
 
-/// The one shared `--workers` parser (`campaign run` and `serve` must
-/// agree): rejects `0` and non-numeric values with the same error
-/// style as the `--threads` parser, defaulting to 1.
-fn parse_workers(flags: &HashMap<&str, &str>) -> Result<usize, String> {
-    parse_positive(flags, "workers")
-}
-
+/// A positive-integer flag, defaulting to 1: rejects `0` and
+/// non-numeric values in the same error style as `--threads`.
 fn parse_positive(flags: &HashMap<&str, &str>, name: &str) -> Result<usize, String> {
     flags
         .get(name)
@@ -688,8 +683,8 @@ fn print_trace(program: &str, trace: &nfi_telemetry::Trace) {
 }
 
 /// The incremental orchestrator: plan every target, replay unchanged
-/// units from the `--state-dir` store, execute only the rest across
-/// `--workers` in-process workers, merge, and persist. The merged
+/// units from the `--state-dir` store, execute only the rest in this
+/// process (across `--threads`), merge, and persist. The merged
 /// document per program lands in `--out-dir` (default
 /// `<state-dir>/runs`) and is byte-identical to a from-scratch
 /// unsharded `--threads 1` run — a warm re-run with unchanged sources
@@ -697,9 +692,7 @@ fn print_trace(program: &str, trace: &nfi_telemetry::Trace) {
 fn cmd_campaign_run(files: &[&str], flags: &HashMap<&str, &str>) -> Result<(), String> {
     use neural_fault_injection::core::Orchestrator;
     let state_dir = flags.get("state-dir").ok_or("need --state-dir <dir>")?;
-    let workers = parse_workers(flags)?;
     let orch = Orchestrator {
-        workers,
         seed: parse_seed(flags)?,
         config: exec_config(flags)?,
         anchor_reuse: !flags.contains_key("no-anchor-reuse"),
@@ -762,9 +755,8 @@ fn cmd_campaign_run(files: &[&str], flags: &HashMap<&str, &str>) -> Result<(), S
         anchor_replayed += result.anchor_replayed;
     }
     println!(
-        "campaign run: {} program(s), {units} units, {replayed} replayed ({anchor_replayed} via anchors), {executed} executed ({} workers)",
+        "campaign run: {} program(s), {units} units, {replayed} replayed ({anchor_replayed} via anchors), {executed} executed",
         targets.len(),
-        workers,
     );
     Ok(())
 }
@@ -786,23 +778,21 @@ fn cmd_serve(flags: &HashMap<&str, &str>) -> Result<(), String> {
         nfi_telemetry::log::set_level(level);
     }
     let addr = parse_addr(flags)?;
-    let workers = parse_workers(flags)?;
+    let workers = parse_positive(flags, "workers")?;
     let lanes = parse_positive(flags, "lanes")?;
     let auth = flags
         .get("auth-token-file")
         .map(|path| AuthTokens::load(std::path::Path::new(path)))
         .transpose()?;
-    let defaults = ServeConfig::new(state_dir);
+    let binary =
+        std::env::current_exe().map_err(|e| format!("cannot resolve the running binary: {e}"))?;
+    let defaults = ServeConfig::new(state_dir, binary);
     let deadline = parse_limit(flags, "deadline-ms")?;
     let request_timeout = parse_limit(flags, "request-timeout-ms")?;
     let max_connections = parse_limit(flags, "max-connections")? as usize;
     let config = ServeConfig {
         workers,
         lanes,
-        worker_binary: Some(
-            std::env::current_exe()
-                .map_err(|e| format!("cannot resolve the running binary: {e}"))?,
-        ),
         seed: parse_seed(flags)?,
         auth,
         rate_limit: parse_limit(flags, "rate-limit")?,

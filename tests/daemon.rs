@@ -1,18 +1,20 @@
 //! End-to-end daemon tests over a real loopback socket: submit, poll,
 //! fetch, metrics, and the HTTP edge cases the codec must survive.
 //!
-//! These daemons have no worker binary, so store misses execute
-//! in-process (this test binary cannot start `nfi worker`); the local
-//! worker path is exercised by the workspace-level
-//! `tests/serve_e2e.rs`, which has the real binary.
+//! Every daemon here starts its local `nfi worker` children from the
+//! `nfi` binary built for this test, so each store miss runs where
+//! `nfi serve` runs it: on a worker process, never in the daemon.
 
 use nfi_serve::auth::AuthTokens;
 use nfi_serve::client::{request_once, request_once_as, Client, Session};
+use nfi_serve::jobs::RETAINED_FINISHED_JOBS;
 use nfi_serve::queue::Priority;
 use nfi_serve::{ServeConfig, Server};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+
+const NFI: &str = env!("CARGO_BIN_EXE_nfi");
 
 const SOURCE: &str = "\
 def double(x):
@@ -31,7 +33,7 @@ fn start(tag: &str) -> (nfi_serve::ServeHandle, PathBuf) {
     let dir = state_dir(tag);
     let config = ServeConfig {
         workers: 2,
-        ..ServeConfig::new(&dir)
+        ..ServeConfig::new(&dir, NFI)
     };
     let server = Server::bind("127.0.0.1:0", config).expect("bind");
     (server.spawn().expect("spawn"), dir)
@@ -64,6 +66,15 @@ fn submit(addr: SocketAddr, body: &str) -> u64 {
         .unwrap_or_else(|| panic!("no id in {text}"));
     assert!(text.contains("\"status\":\"queued\""));
     id
+}
+
+/// One number of a `/v1/metrics` document, by key.
+fn metric(text: &str, key: &str) -> u64 {
+    text.split(&format!("\"{key}\":"))
+        .nth(1)
+        .and_then(|rest| rest.split([',', '}']).next())
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no {key} in {text}"))
 }
 
 #[test]
@@ -108,7 +119,7 @@ fn daemon_seed_applies_to_submissions_that_name_none() {
     let config = ServeConfig {
         workers: 1,
         seed: 99,
-        ..ServeConfig::new(&dir)
+        ..ServeConfig::new(&dir, NFI)
     };
     let handle = Server::bind("127.0.0.1:0", config)
         .unwrap()
@@ -357,7 +368,7 @@ fn metrics_track_queue_and_store_counters() {
     assert!(text.contains("\"submitted\":2"), "{text}");
     assert!(text.contains("\"completed\":2"), "{text}");
     assert!(text.contains("\"failed\":0"), "{text}");
-    assert!(text.contains("\"mutant_cache\""), "{text}");
+    assert!(metric(&text, "assignments_completed") >= 1, "{text}");
     // The second job replayed everything: executed < units over the
     // two runs, and replayed > 0.
     assert!(!text.contains("\"replayed\":0,"), "{text}");
@@ -375,7 +386,7 @@ fn concurrent_lanes_serve_documents_byte_identical_to_offline_runs() {
     let config = ServeConfig {
         workers: 1,
         lanes: 3,
-        ..ServeConfig::new(&dir)
+        ..ServeConfig::new(&dir, NFI)
     };
     let handle = Server::bind("127.0.0.1:0", config)
         .unwrap()
@@ -484,7 +495,7 @@ fn restart_recovers_finished_documents_and_requeues_pending_jobs() {
     // Round one: finish a job, remember its document, stop cleanly.
     let config = ServeConfig {
         workers: 1,
-        ..ServeConfig::new(&dir)
+        ..ServeConfig::new(&dir, NFI)
     };
     let handle = Server::bind("127.0.0.1:0", config.clone())
         .unwrap()
@@ -580,7 +591,7 @@ fn corrupt_trailing_journal_line_replans_without_changing_the_document() {
     );
     let config = ServeConfig {
         workers: 1,
-        ..ServeConfig::new(&dir)
+        ..ServeConfig::new(&dir, NFI)
     };
     let handle = Server::bind("127.0.0.1:0", config.clone())
         .unwrap()
@@ -637,7 +648,7 @@ fn second_daemon_on_the_same_state_dir_is_refused_at_bind() {
     let second = Server::bind(
         "127.0.0.1:0",
         ServeConfig {
-            ..ServeConfig::new(&dir)
+            ..ServeConfig::new(&dir, NFI)
         },
     );
     let err = second.err().expect("second daemon must be refused");
@@ -650,11 +661,31 @@ fn second_daemon_on_the_same_state_dir_is_refused_at_bind() {
     let third = Server::bind(
         "127.0.0.1:0",
         ServeConfig {
-            ..ServeConfig::new(&dir)
+            ..ServeConfig::new(&dir, NFI)
         },
     );
     assert!(third.is_ok(), "{:?}", third.err());
     drop(third);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_daemon_without_a_lane_or_a_worker_is_refused_at_bind() {
+    // Every miss waits for a worker, so such a daemon would hang its
+    // first job forever.
+    let dir = state_dir("zero");
+    for (lanes, workers) in [(0, 1), (1, 0)] {
+        let config = ServeConfig {
+            lanes,
+            workers,
+            ..ServeConfig::new(&dir, NFI)
+        };
+        let err = Server::bind("127.0.0.1:0", config).err().expect("refused");
+        assert!(
+            err.contains("at least one lane and one local worker"),
+            "{err}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -670,7 +701,7 @@ fn stop_releases_the_state_dir_while_a_keep_alive_connection_is_open() {
     let again = Server::bind(
         "127.0.0.1:0",
         ServeConfig {
-            ..ServeConfig::new(&dir)
+            ..ServeConfig::new(&dir, NFI)
         },
     );
     assert!(again.is_ok(), "{:?}", again.err());
@@ -708,7 +739,7 @@ fn auth_gates_every_route_but_healthz_and_namespaces_tenants() {
     let config = ServeConfig {
         workers: 1,
         auth: Some(two_tenant_auth()),
-        ..ServeConfig::new(&dir)
+        ..ServeConfig::new(&dir, NFI)
     };
     let handle = Server::bind("127.0.0.1:0", config)
         .unwrap()
@@ -818,7 +849,7 @@ fn rate_limited_clients_get_429_with_retry_after_and_recover() {
         workers: 1,
         rate_limit: 5,
         rate_burst: 3,
-        ..ServeConfig::new(&dir)
+        ..ServeConfig::new(&dir, NFI)
     };
     let handle = Server::bind("127.0.0.1:0", config)
         .unwrap()
@@ -867,7 +898,7 @@ fn queue_bound_and_tenant_quota_shed_submissions_before_the_journal() {
     let config = ServeConfig {
         max_queue: 2,
         tenant_max_queued: 1,
-        ..ServeConfig::new(&dir)
+        ..ServeConfig::new(&dir, NFI)
     };
     let server = Server::bind("127.0.0.1:0", config).unwrap();
     let state = server.state();
@@ -916,7 +947,7 @@ fn tenant_program_quota_sheds_new_program_names_only() {
     let dir = state_dir("progquota");
     let config = ServeConfig {
         tenant_max_programs: 1,
-        ..ServeConfig::new(&dir)
+        ..ServeConfig::new(&dir, NFI)
     };
     let server = Server::bind("127.0.0.1:0", config).unwrap();
     let state = server.state();
@@ -951,7 +982,7 @@ fn jobs_that_outwait_their_deadline_fail_with_an_expiry() {
     let config = ServeConfig {
         workers: 1,
         lanes: 1,
-        ..ServeConfig::new(&dir)
+        ..ServeConfig::new(&dir, NFI)
     };
     let handle = Server::bind("127.0.0.1:0", config)
         .unwrap()
@@ -996,7 +1027,7 @@ fn jobs_that_outwait_their_deadline_fail_with_an_expiry() {
     let handle = Server::bind(
         "127.0.0.1:0",
         ServeConfig {
-            ..ServeConfig::new(&dir)
+            ..ServeConfig::new(&dir, NFI)
         },
     )
     .unwrap()
@@ -1010,6 +1041,38 @@ fn jobs_that_outwait_their_deadline_fail_with_an_expiry() {
         restored.text()
     );
     handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_deadline_expiry_is_journaled_before_it_shows_even_when_its_flip_evicts_it() {
+    // One lane, all jobs accepted before it starts: the low job drains
+    // last, long past its 1 ms budget, behind a full retention cap of
+    // finished high jobs — so failing it evicts it from the table.
+    let dir = state_dir("expiry-evicted");
+    let server = Server::bind("127.0.0.1:0", ServeConfig::new(&dir, NFI)).unwrap();
+    let state = server.state();
+    let spec = || nfi_core::plan_campaign("demo", SOURCE, 7).unwrap();
+    let low = state.accept(spec(), "", Priority::Low, Some(1)).unwrap();
+    for _ in 0..RETAINED_FINISHED_JOBS {
+        state.accept(spec(), "", Priority::High, None).unwrap();
+    }
+    // Stop drains every accepted job before it returns.
+    server.spawn().unwrap().stop();
+    let journal = std::fs::read_to_string(dir.join("journal.jsonl")).unwrap();
+    let record = format!("{{\"kind\":\"finished\",\"id\":{low},\"status\":\"failed\"");
+    assert!(
+        journal.lines().any(|line| line.starts_with(&record)),
+        "the expiry of job {low} was never journaled"
+    );
+    let metrics = state.metrics_json();
+    assert_eq!(metric(&metrics, "deadline_expiries"), 1, "{metrics}");
+    assert_eq!(metric(&metrics, "failed"), 1, "{metrics}");
+    assert_eq!(
+        metric(&metrics, "completed"),
+        RETAINED_FINISHED_JOBS as u64,
+        "{metrics}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -1055,7 +1118,7 @@ fn slowloris_mid_request_gets_408_and_idle_keepalive_closes_silently() {
     let dir = state_dir("slowloris");
     let config = ServeConfig {
         request_timeout: Duration::from_millis(250),
-        ..ServeConfig::new(&dir)
+        ..ServeConfig::new(&dir, NFI)
     };
     let handle = Server::bind("127.0.0.1:0", config)
         .unwrap()
@@ -1119,7 +1182,7 @@ fn hardened_daemon_with_four_lanes_preserves_offline_byte_parity() {
         max_queue: 64,
         tenant_max_queued: 32,
         default_deadline_ms: Some(60_000),
-        ..ServeConfig::new(&dir)
+        ..ServeConfig::new(&dir, NFI)
     };
     let handle = Server::bind("127.0.0.1:0", config)
         .unwrap()
@@ -1188,6 +1251,15 @@ fn hardened_daemon_with_four_lanes_preserves_offline_byte_parity() {
         assert!(metrics.contains(counter), "{metrics}");
     }
     assert!(!metrics.contains("\"http\":{\"count\":0,"), "{metrics}");
+    // Every miss ran on the 4 × 2 local workers, all of them live.
+    assert!(metric(&metrics, "assignments_completed") >= 1, "{metrics}");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while handle.state().fleet.live_workers() < 8 {
+        assert!(Instant::now() < deadline, "local workers never all joined");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let metrics = handle.state().metrics_json();
+    assert_eq!(metric(&metrics, "workers_live"), 4 * 2, "{metrics}");
     handle.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -98,15 +98,15 @@ fn multi_worker_incremental_run_is_byte_identical_to_single_worker() {
     let dir_four = state_dir("worker-4");
     let one = Orchestrator::new(&dir_one).unwrap();
     let four = Orchestrator {
-        workers: 4,
+        config: ExecConfig::with_threads(4),
         ..Orchestrator::new(&dir_four).unwrap()
     };
     let source = corpus_source("jobqueue");
     let a = one.run_program("jobqueue", &source).unwrap();
     let b = four.run_program("jobqueue", &source).unwrap();
     assert_eq!(a.run.encode(), b.run.encode());
-    // Cross-warm: the four-worker store replays into a warm run that
-    // still matches the single-worker document.
+    // Cross-warm: the four-thread store replays into a warm run that
+    // still matches the sequential document.
     let warm = four.run_program("jobqueue", &source).unwrap();
     assert_eq!(warm.executed, 0);
     assert_eq!(warm.run.encode(), a.run.encode());

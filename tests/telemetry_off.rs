@@ -6,6 +6,7 @@
 //! A test binary of its own, because `nfi_telemetry::set_enabled` is
 //! process-wide: switched off here, it cannot hide samples from the
 //! daemon tests, and they cannot record into this binary's registry.
+//! The misses run on the daemon's local `nfi worker` children.
 
 use nfi_core::{exec_spec, plan_campaign, ExecConfig};
 use nfi_pylite::MachineConfig;
@@ -13,6 +14,8 @@ use nfi_serve::client::request_once;
 use nfi_serve::{ServeConfig, Server};
 use nfi_telemetry::{families, prom};
 use std::time::{Duration, Instant};
+
+const NFI: &str = env!("CARGO_BIN_EXE_nfi");
 
 const SOURCE: &str = "\
 def double(x):
@@ -28,7 +31,7 @@ fn telemetry_off_daemon_serves_metrics_records_nothing_and_keeps_byte_parity() {
     let _ = std::fs::remove_dir_all(&dir);
     let config = ServeConfig {
         workers: 2,
-        ..ServeConfig::new(&dir)
+        ..ServeConfig::new(&dir, NFI)
     };
     let handle = Server::bind("127.0.0.1:0", config)
         .unwrap()
