@@ -16,6 +16,7 @@ use nfi_core::exec::{self, ExecConfig};
 use nfi_core::metrics::{self, EffortModel};
 use nfi_core::pipeline::{NeuralFaultInjector, PipelineConfig};
 use nfi_core::session::run_session;
+use nfi_inject::ExperimentCache;
 use nfi_llm::{FaultLlm, LlmConfig};
 use nfi_neural::lm::code_tokens;
 use nfi_nlp::FaultSpec;
@@ -187,7 +188,9 @@ pub fn run_e2_with(exec: ExecConfig, scenario_cap: usize) -> Vec<E2Row> {
                 .partial_cmp(&llm.policy().score(&b.features))
                 .unwrap_or(std::cmp::Ordering::Equal)
         }) {
-            nfi_inject::run_experiment_memo(module, &best.module, &machine).activated
+            ExperimentCache::global()
+                .run(module, &best.module, &machine)
+                .activated
         } else {
             false
         };
@@ -537,7 +540,7 @@ pub fn run_e5_with(exec: ExecConfig, scenario_cap: usize) -> E5Funnel {
             return stage;
         };
         stage.integrated = true;
-        let report = nfi_inject::run_experiment_memo(module, &faulty, &machine);
+        let report = ExperimentCache::global().run(module, &faulty, &machine);
         stage.activated = report.activated;
         stage.detected = report.detected;
         stage.mode = Some(report.overall.key().to_string());

@@ -48,28 +48,19 @@ pub struct MutantCache {
 }
 
 impl MutantCache {
-    /// An empty unbounded cache (tests; the shared one is
-    /// [`MutantCache::global`]).
+    /// An empty cache holding at most [`DEFAULT_CACHE_CAPACITY`]
+    /// mutants (tests; the shared one is [`MutantCache::global`]).
     pub fn new() -> MutantCache {
-        MutantCache { memo: Memo::new() }
-    }
-
-    /// An empty cache holding at most `capacity` mutants, evicting
-    /// least-recently-used beyond it.
-    pub fn bounded(capacity: usize) -> MutantCache {
         MutantCache {
-            memo: Memo::bounded(capacity),
+            memo: Memo::new(DEFAULT_CACHE_CAPACITY),
         }
     }
 
     /// The process-wide cache the execution engine and campaign service
-    /// share — bounded at [`DEFAULT_CACHE_CAPACITY`] entries so
-    /// long-lived campaign streams cannot grow it past memory (far
-    /// above what the corpus benches populate, so hit rates are
-    /// unchanged; evictions surface in [`CacheStats::evictions`]).
+    /// share.
     pub fn global() -> &'static MutantCache {
         static GLOBAL: OnceLock<MutantCache> = OnceLock::new();
-        GLOBAL.get_or_init(|| MutantCache::bounded(DEFAULT_CACHE_CAPACITY))
+        GLOBAL.get_or_init(MutantCache::new)
     }
 
     /// Applies (or replays) `plan` against `module`, whose fingerprint
@@ -165,17 +156,17 @@ mod tests {
         let campaign = Campaign::full(&m);
         let plans = campaign.plans();
         assert!(plans.len() > 2, "corpus module should enumerate > 2 plans");
-        let cache = MutantCache::bounded(2);
+        let cache = MutantCache { memo: Memo::new(2) };
         for plan in plans {
             cache.apply(&m, fp, plan);
         }
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 2);
-        assert_eq!(stats.capacity, Some(2));
-        assert_eq!(stats.evictions as usize, plans.len() - 2);
-        // Evicted entries recompute to the same mutant.
+        let n = plans.len() as u64;
+        assert_eq!((cache.stats().hits, cache.stats().misses), (0, n));
+        // The first plan was cleared: it misses and recomputes to the
+        // same mutant.
         let direct = campaign.apply(&plans[0]).expect("applies");
         let replay = cache.apply(&m, fp, &plans[0]).expect("applies");
+        assert_eq!((cache.stats().hits, cache.stats().misses), (0, n + 1));
         assert_eq!(
             nfi_pylite::print_module(&replay.fault.module),
             nfi_pylite::print_module(&direct.module)

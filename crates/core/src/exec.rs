@@ -26,32 +26,21 @@
 
 use crate::cache::MutantCache;
 use nfi_inject::memo::ExperimentCache;
-use nfi_inject::{run_experiment, FailureMode};
+use nfi_inject::{ExperimentReport, FailureMode};
 use nfi_pylite::{MachineConfig, Module};
-use nfi_sfi::{apply_plan, FaultPlan, Shard};
+use nfi_sfi::FaultPlan;
 use rayon::prelude::*;
-use rayon::{ThreadPool, ThreadPoolBuilder};
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use rayon::ThreadPoolBuilder;
 
-/// Configuration for the execution engine.
+/// Configuration for the execution engine: its thread count, the one
+/// in-process parallelism knob. Which units run is the caller's
+/// choice (the `accept` predicate of [`crate::service::exec_units`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Worker threads. `1` runs inline on the caller thread (exactly the
     /// old sequential behaviour); the default is the machine's available
     /// parallelism.
     pub threads: usize,
-    /// The strided slice of the campaign this engine executes. The
-    /// default [`Shard::FULL`] runs everything; `i/n` runs plan indices
-    /// with `index % n == i`, so `n` cooperating processes partition a
-    /// plan without coordinating.
-    pub shard: Shard,
-    /// Whether plan application and experiment runs go through the
-    /// process-wide content-addressed caches ([`MutantCache`],
-    /// [`ExperimentCache`]). Caching never changes results — keys are
-    /// content hashes and both operations are deterministic — it only
-    /// skips recomputing them.
-    pub use_cache: bool,
 }
 
 impl Default for ExecConfig {
@@ -60,8 +49,6 @@ impl Default for ExecConfig {
             threads: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
-            shard: Shard::FULL,
-            use_cache: true,
         }
     }
 }
@@ -69,28 +56,14 @@ impl Default for ExecConfig {
 impl ExecConfig {
     /// Strictly sequential execution.
     pub fn sequential() -> Self {
-        ExecConfig {
-            threads: 1,
-            ..ExecConfig::default()
-        }
+        ExecConfig { threads: 1 }
     }
 
     /// A fixed worker count (`0` is clamped to `1`).
     pub fn with_threads(threads: usize) -> Self {
         ExecConfig {
             threads: threads.max(1),
-            ..ExecConfig::default()
         }
-    }
-
-    /// This configuration restricted to one shard of the plan.
-    pub fn sharded(self, shard: Shard) -> Self {
-        ExecConfig { shard, ..self }
-    }
-
-    /// This configuration with the content-addressed caches toggled.
-    pub fn cached(self, use_cache: bool) -> Self {
-        ExecConfig { use_cache, ..self }
     }
 }
 
@@ -116,26 +89,11 @@ pub fn par_map_indexed<R: Send>(
     if config.threads <= 1 || n <= 1 {
         return (0..n).map(f).collect();
     }
-    let pool = pool_for(config.threads);
-    pool.install(|| (0..n).into_par_iter().map(f).collect())
-}
-
-/// Process-wide pool cache, one pool per requested width — repeated
-/// engine calls (one per campaign, per experiment driver) reuse a pool
-/// instead of rebuilding one, which matters once the vendored rayon
-/// shim is swapped for upstream rayon (whose pools own OS threads).
-fn pool_for(threads: usize) -> Arc<ThreadPool> {
-    static POOLS: OnceLock<Mutex<BTreeMap<usize, Arc<ThreadPool>>>> = OnceLock::new();
-    let pools = POOLS.get_or_init(|| Mutex::new(BTreeMap::new()));
-    let mut pools = pools.lock().expect("pool cache lock");
-    Arc::clone(pools.entry(threads).or_insert_with(|| {
-        Arc::new(
-            ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("thread pool"),
-        )
-    }))
+    ThreadPoolBuilder::new()
+        .num_threads(config.threads)
+        .build()
+        .expect("thread pool")
+        .install(|| (0..n).into_par_iter().map(f).collect())
 }
 
 /// Outcome of one plan in a campaign run.
@@ -155,51 +113,48 @@ pub struct PlanOutcome {
     pub mode: Option<FailureMode>,
 }
 
+impl PlanOutcome {
+    /// The outcome of `plan` from its experiment's report, or from
+    /// `None` when the plan's site is gone.
+    pub(crate) fn new(plan: &FaultPlan, report: Option<ExperimentReport>) -> PlanOutcome {
+        let (applied, activated, detected, mode) = match report {
+            Some(r) => (true, r.activated, r.detected, Some(r.overall)),
+            None => (false, false, false, None),
+        };
+        PlanOutcome {
+            operator: plan.operator,
+            class: plan.class.key(),
+            applied,
+            activated,
+            detected,
+            mode,
+        }
+    }
+}
+
 /// Applies one plan to a module and runs the differential experiment,
-/// optionally through the process-wide mutant and experiment caches.
-/// This is the engine's unit of work: outcomes depend only on
-/// (module, plan, machine config), never on shared mutable state.
+/// both through the process-wide mutant and experiment caches. This is
+/// the engine's unit of work: outcomes depend only on (module, plan,
+/// machine config), never on shared mutable state, so a cache hit
+/// returns what the run would have.
 pub fn execute_plan(
     module: &Module,
     module_fp: u64,
     plan: &FaultPlan,
     machine: &MachineConfig,
-    use_cache: bool,
 ) -> PlanOutcome {
-    let class = plan.class.key();
-    let not_applied = PlanOutcome {
-        operator: plan.operator,
-        class,
-        applied: false,
-        activated: false,
-        detected: false,
-        mode: None,
-    };
-    let report = if use_cache {
-        match MutantCache::global().apply(module, module_fp, plan) {
-            Some(mutant) => ExperimentCache::global().run_keyed(
+    let report = MutantCache::global()
+        .apply(module, module_fp, plan)
+        .map(|mutant| {
+            ExperimentCache::global().run_keyed(
                 module,
                 &mutant.fault.module,
                 module_fp,
                 mutant.module_fp,
                 machine,
-            ),
-            None => return not_applied,
-        }
-    } else {
-        match apply_plan(module, plan) {
-            Some(fault) => run_experiment(module, &fault.module, machine),
-            None => return not_applied,
-        }
-    };
-    PlanOutcome {
-        operator: plan.operator,
-        class,
-        applied: true,
-        activated: report.activated,
-        detected: report.detected,
-        mode: Some(report.overall),
-    }
+            )
+        });
+    PlanOutcome::new(plan, report)
 }
 
 #[cfg(test)]

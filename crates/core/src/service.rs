@@ -20,16 +20,19 @@
 //!    index (duplicates rejected), so `merge(a, merge(b, c))` equals
 //!    `merge(merge(a, b), c)` equals the unsharded run.
 //!
-//! Execution routes through the engine ([`crate::exec`]) and therefore
-//! through the content-addressed mutant/experiment caches.
+//! [`exec_units`] runs units on the engine ([`crate::exec`]), whose
+//! [`exec::execute_plan`] looks each one up in the four memo caches
+//! (mutant, experiment, pristine suite, compiled code) before running
+//! anything. [`reference_run`] runs the same units with no cache at
+//! all: it is the reference the byte-parity tests hold the engine to.
 
 use crate::exec::{self, ExecConfig, PlanOutcome};
+use nfi_pylite::{MachineConfig, Module};
 use nfi_sfi::jsontext::{
     escape, get_bool, get_hex_u64, get_opt_str, get_str, get_usize, parse_flat_object,
 };
-use nfi_sfi::{Campaign, CampaignSpec, FaultPlan};
+use nfi_sfi::{Campaign, CampaignSpec, FaultPlan, WorkUnit};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Builds the full-enumeration spec for a program source: parse, run
 /// the operator registry over it, capture the plan IR.
@@ -251,12 +254,12 @@ impl ShardRun {
     }
 }
 
-/// Executes one shard of a spec on the engine.
+/// Executes every unit of a spec on the engine.
 ///
 /// The spec is self-contained: its source is re-parsed here and
-/// validated against the recorded module fingerprint, then every
-/// covered unit resolves through the operator registry and executes
-/// under its own scheduler seed.
+/// validated against the recorded module fingerprint, then every unit
+/// resolves through the operator registry and executes under its own
+/// scheduler seed.
 ///
 /// # Errors
 ///
@@ -264,25 +267,61 @@ impl ShardRun {
 /// generated from different code), or an unresolvable operator key.
 pub fn exec_spec(
     spec: &CampaignSpec,
-    machine: &nfi_pylite::MachineConfig,
+    machine: &MachineConfig,
     config: ExecConfig,
 ) -> Result<ShardRun, String> {
     exec_units(spec, machine, config, |_| true)
 }
 
-/// [`exec_spec`] restricted to units `accept` selects (on top of
-/// `config.shard`'s stride) — the orchestrator's entry point for
-/// executing exactly the units the incremental store could not replay,
-/// which are rarely a contiguous or strided slice.
+/// [`exec_spec`] restricted to the units `accept` selects: the store
+/// misses an orchestrator could not replay, which are rarely a
+/// contiguous or strided slice, or one `--shard i/n` stride of `nfi
+/// campaign exec` (`|u| shard.covers(u.index)`).
 ///
 /// # Errors
 ///
 /// Same contract as [`exec_spec`].
 pub fn exec_units(
     spec: &CampaignSpec,
-    machine: &nfi_pylite::MachineConfig,
+    machine: &MachineConfig,
     config: ExecConfig,
-    accept: impl Fn(&nfi_sfi::WorkUnit) -> bool,
+    accept: impl Fn(&WorkUnit) -> bool,
+) -> Result<ShardRun, String> {
+    run_units(spec, machine, config, accept, exec::execute_plan)
+}
+
+/// The compile-per-test reference for [`exec_spec`]: every unit of the
+/// spec runs on the calling thread through `apply_plan` and
+/// `run_experiment`, which compile each module for every test on a
+/// fresh machine and consult no cache. The byte-parity tests compare
+/// the engine's documents against it, and every VM run it makes is a
+/// real one.
+///
+/// # Errors
+///
+/// Same contract as [`exec_spec`].
+pub fn reference_run(spec: &CampaignSpec, machine: &MachineConfig) -> Result<ShardRun, String> {
+    run_units(
+        spec,
+        machine,
+        ExecConfig::sequential(),
+        |_| true,
+        |module, _, plan, machine| {
+            let report = nfi_sfi::apply_plan(module, plan)
+                .map(|fault| nfi_inject::run_experiment(module, &fault.module, machine));
+            PlanOutcome::new(plan, report)
+        },
+    )
+}
+
+/// The parse, fingerprint check and plan resolution both executors
+/// share, then `run` over the accepted units, each under its own seed.
+fn run_units(
+    spec: &CampaignSpec,
+    machine: &MachineConfig,
+    config: ExecConfig,
+    accept: impl Fn(&WorkUnit) -> bool,
+    run: impl Fn(&Module, u64, &FaultPlan, &MachineConfig) -> PlanOutcome + Sync,
 ) -> Result<ShardRun, String> {
     let module = nfi_pylite::parse(&spec.source)
         .map_err(|e| format!("cannot parse plan source for {}: {e}", spec.program))?;
@@ -293,14 +332,10 @@ pub fn exec_units(
             spec.program, spec.module_fp, module_fp
         ));
     }
-    let module = Arc::new(module);
-    let worklist: Vec<&nfi_sfi::WorkUnit> = spec
+    let plans: Vec<(usize, FaultPlan, u64)> = spec
         .units
         .iter()
-        .filter(|u| config.shard.covers(u.index) && accept(u))
-        .collect();
-    let plans: Vec<(usize, FaultPlan, u64)> = worklist
-        .iter()
+        .filter(|u| accept(u))
         .map(|u| {
             u.to_plan()
                 .map(|p| (u.index, p, u.seed))
@@ -308,12 +343,11 @@ pub fn exec_units(
         })
         .collect::<Result<_, String>>()?;
     let outcomes = exec::par_map(config, &plans, |(index, plan, seed)| {
-        let unit_machine = nfi_pylite::MachineConfig {
+        let unit_machine = MachineConfig {
             seed: *seed,
             ..machine.clone()
         };
-        let outcome = exec::execute_plan(&module, module_fp, plan, &unit_machine, config.use_cache);
-        ShardOutcome::from_outcome(*index, &outcome)
+        ShardOutcome::from_outcome(*index, &run(&module, module_fp, plan, &unit_machine))
     });
     Ok(ShardRun {
         program: spec.program.clone(),
@@ -452,7 +486,6 @@ impl StringReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nfi_pylite::MachineConfig;
     use nfi_sfi::Shard;
 
     const SOURCE: &str = "\
@@ -477,6 +510,16 @@ def test_add():
             step_budget: 200_000,
             ..MachineConfig::default()
         }
+    }
+
+    /// One `index/count` stride of the spec, as `campaign exec --shard`
+    /// runs it.
+    fn exec_shard(s: &CampaignSpec, index: usize, count: usize) -> ShardRun {
+        let shard = Shard { index, count };
+        exec_units(s, &machine(), ExecConfig::sequential(), |u| {
+            shard.covers(u.index)
+        })
+        .unwrap()
     }
 
     #[test]
@@ -519,10 +562,10 @@ def test_add():
     fn exec_documents_are_thread_count_and_cache_invariant() {
         let s = spec();
         let doc = |config: ExecConfig| exec_spec(&s, &machine(), config).unwrap().encode();
-        let uncached = doc(ExecConfig::sequential().cached(false));
-        assert_eq!(doc(ExecConfig::sequential()), uncached, "first cached run");
-        assert_eq!(doc(ExecConfig::sequential()), uncached, "cache replay");
-        assert_eq!(doc(ExecConfig::with_threads(8)), uncached, "8 threads");
+        let reference = reference_run(&s, &machine()).unwrap().encode();
+        assert_eq!(doc(ExecConfig::sequential()), reference, "first cached run");
+        assert_eq!(doc(ExecConfig::sequential()), reference, "cache replay");
+        assert_eq!(doc(ExecConfig::with_threads(8)), reference, "8 threads");
     }
 
     #[test]
@@ -544,15 +587,7 @@ def test_add():
     fn two_way_shard_merge_is_byte_identical_to_unsharded() {
         let s = spec();
         let full = exec_spec(&s, &machine(), ExecConfig::sequential()).unwrap();
-        let shard = |i: usize, n: usize| {
-            exec_spec(
-                &s,
-                &machine(),
-                ExecConfig::sequential().sharded(Shard { index: i, count: n }),
-            )
-            .unwrap()
-        };
-        let merged = merge(&[shard(0, 2), shard(1, 2)]).unwrap();
+        let merged = merge(&[exec_shard(&s, 0, 2), exec_shard(&s, 1, 2)]).unwrap();
         assert_eq!(merged.encode(), full.encode());
     }
 
@@ -560,14 +595,7 @@ def test_add():
     fn merge_is_associative_over_three_shards() {
         let s = spec();
         let full = exec_spec(&s, &machine(), ExecConfig::sequential()).unwrap();
-        let shard = |i: usize| {
-            exec_spec(
-                &s,
-                &machine(),
-                ExecConfig::sequential().sharded(Shard { index: i, count: 3 }),
-            )
-            .unwrap()
-        };
+        let shard = |i: usize| exec_shard(&s, i, 3);
         let (a, b, c) = (shard(0), shard(1), shard(2));
         let left = merge(&[merge(&[a.clone(), b.clone()]).unwrap(), c.clone()]).unwrap();
         let right = merge(&[a.clone(), merge(&[b.clone(), c.clone()]).unwrap()]).unwrap();
@@ -581,15 +609,7 @@ def test_add():
         let full = exec_spec(&s, &machine(), ExecConfig::sequential()).unwrap();
         let roundtrip = ShardRun::decode(&full.encode()).unwrap();
         assert_eq!(roundtrip.encode(), full.encode());
-        let shard = |i: usize| {
-            exec_spec(
-                &s,
-                &machine(),
-                ExecConfig::sequential().sharded(Shard { index: i, count: 2 }),
-            )
-            .unwrap()
-        };
-        let decoded: Vec<ShardRun> = [shard(0), shard(1)]
+        let decoded: Vec<ShardRun> = [exec_shard(&s, 0, 2), exec_shard(&s, 1, 2)]
             .iter()
             .map(|r| ShardRun::decode(&r.encode()).unwrap())
             .collect();
@@ -611,21 +631,11 @@ def test_add():
     #[test]
     fn decode_rejects_concatenated_documents() {
         let s = spec();
-        let shard = exec_shard_doc(&s, 0);
-        let other = exec_shard_doc(&s, 1);
+        let shard = exec_shard(&s, 0, 2).encode();
+        let other = exec_shard(&s, 1, 2).encode();
         let cat = format!("{shard}{other}");
         let err = ShardRun::decode(&cat).unwrap_err();
         assert!(err.contains("second campaign_run header"), "{err}");
-    }
-
-    fn exec_shard_doc(s: &CampaignSpec, index: usize) -> String {
-        exec_spec(
-            s,
-            &machine(),
-            ExecConfig::sequential().sharded(Shard { index, count: 2 }),
-        )
-        .unwrap()
-        .encode()
     }
 
     #[test]

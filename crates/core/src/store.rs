@@ -76,7 +76,7 @@
 
 use crate::exec::ExecConfig;
 use crate::service::{self, ShardOutcome, ShardRun};
-use nfi_pylite::MachineConfig;
+use nfi_pylite::{fnv1a, MachineConfig};
 use nfi_sfi::jsontext::{escape, get_hex_u64, get_str, get_usize, parse_flat_object, JsonValue};
 use nfi_sfi::CampaignSpec;
 use nfi_telemetry::{families, Span};
@@ -539,16 +539,6 @@ impl CampaignStore {
     }
 }
 
-/// fnv1a-64 over `bytes` — segment and lock-file naming.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Advisory per-(program, machine-fingerprint) segment locks.
 ///
 /// Store writers follow load → execute → save; two writers
@@ -565,8 +555,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 ///   releases `flock`s when their holder dies, so a crashed or
 ///   SIGKILLed daemon can never wedge the store. (Two *daemons* never
 ///   share a state dir at all — `nfi serve` holds an exclusive
-///   daemon-level lock, because the job journal and worker exchange
-///   dir are single-owner resources.)
+///   daemon-level lock, because the job journal is a single-owner
+///   resource.)
 ///
 /// The key is (program, machine fingerprint), not the segment's full
 /// (program, module fingerprint, machine fingerprint) address: saving
@@ -1102,6 +1092,20 @@ def test_add():
     }
 
     #[test]
+    fn segment_file_names_keep_their_fnv1a_program_hash() {
+        // Existing state dirs are addressed by this name: the hash must
+        // not change under them.
+        let dir = state_dir("segname");
+        let store = CampaignStore::open(&dir).unwrap();
+        let path = store.segment_path("demo", 1, 2);
+        assert_eq!(
+            path.file_name().and_then(|n| n.to_str()),
+            Some("a5e41b674276d396-0000000000000001-0000000000000002.jsonl")
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn warm_document_matches_the_plain_service_run() {
         let dir = state_dir("parity");
         let orch = Orchestrator::new(&dir).unwrap();
@@ -1507,9 +1511,11 @@ def test_add():
                 let sub = spec.subset(missing);
                 let mut runs = Vec::new();
                 for index in 0..2 {
-                    let config =
-                        ExecConfig::sequential().sharded(nfi_sfi::Shard { index, count: 2 });
-                    let doc = service::exec_spec(&sub, &orch.machine, config)
+                    let shard = nfi_sfi::Shard { index, count: 2 };
+                    let doc =
+                        service::exec_units(&sub, &orch.machine, ExecConfig::sequential(), |u| {
+                            shard.covers(u.index)
+                        })
                         .unwrap()
                         .encode();
                     // Decoded from the wire document, total re-widened to

@@ -8,14 +8,15 @@
 //! corpus.
 
 use nfi_core::exec::ExecConfig;
-use nfi_core::service::{exec_spec, plan_campaign};
+use nfi_core::service::{exec_spec, plan_campaign, reference_run};
 use nfi_pylite::{fingerprint, Machine, MachineConfig};
 use std::rc::Rc;
 
 /// Every corpus program's campaign document must be byte-identical
 /// between cached-code execution (compile once through the process-wide
 /// `CodeCache`, reused machine) and the compile-per-run reference
-/// (fresh machine and fresh compile for every test of every unit).
+/// (`reference_run`: fresh machine and fresh compile for every test of
+/// every unit, no cache).
 ///
 /// Units are sampled with a fixed stride so the test stays fast while
 /// still covering every program and a spread of operators; the document
@@ -31,10 +32,9 @@ fn cached_campaign_documents_match_compile_per_run_across_corpus() {
         let stride = (spec.units.len() / 4).clamp(1, 6);
         spec.units = spec.units.into_iter().step_by(stride).collect();
 
-        let cached = exec_spec(&spec, &machine, ExecConfig::sequential().cached(true))
-            .expect("cached execution");
-        let reference = exec_spec(&spec, &machine, ExecConfig::sequential().cached(false))
-            .expect("reference execution");
+        let cached =
+            exec_spec(&spec, &machine, ExecConfig::sequential()).expect("cached execution");
+        let reference = reference_run(&spec, &machine).expect("reference execution");
         assert_eq!(
             cached.encode(),
             reference.encode(),

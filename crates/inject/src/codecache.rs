@@ -16,18 +16,15 @@
 //! Compiled code is `Rc`-based and therefore not `Send`, so unlike
 //! [`crate::memo::Memo`] the table itself is **thread-local** (each
 //! executor thread warms its own map — free of locks on the hot path),
-//! while the hit/miss/eviction/entry counters are process-wide atomics
-//! so `CacheStats` aggregates all threads. Eviction is the same exact
-//! LRU by logical use-clock as `Memo`, applied per thread.
+//! while the hit/miss counters are process-wide so `CacheStats` sums
+//! all threads. The table is the memo module's one bounded table.
 
-use crate::memo::CacheStats;
+use crate::memo::{CacheStats, Counters, Table};
 use nfi_pylite::code::Code;
 use nfi_pylite::compile::compile_module;
 use nfi_pylite::{Module, PyliteError};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-thread entry cap of the code cache. The whole 12-program corpus
 /// plus every distinct mutant of a large campaign stays well below this;
@@ -35,32 +32,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// through one worker thread cannot grow without limit.
 pub const CODE_CACHE_CAPACITY: usize = 4096;
 
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static EVICTIONS: AtomicU64 = AtomicU64::new(0);
-/// Entries resident across all live threads (each thread's map
-/// subtracts its length when the thread exits).
-static ENTRIES: AtomicU64 = AtomicU64::new(0);
-
-struct CodeEntry {
-    code: Rc<Code>,
-    last_used: u64,
-}
-
-#[derive(Default)]
-struct ThreadTable {
-    map: HashMap<u64, CodeEntry>,
-    clock: u64,
-}
-
-impl Drop for ThreadTable {
-    fn drop(&mut self) {
-        ENTRIES.fetch_sub(self.map.len() as u64, Ordering::Relaxed);
-    }
-}
+static COUNTERS: Counters = Counters::new();
 
 thread_local! {
-    static TABLE: RefCell<ThreadTable> = RefCell::new(ThreadTable::default());
+    static TABLE: RefCell<Table<u64, Rc<Code>>> = RefCell::new(Table::new(CODE_CACHE_CAPACITY));
 }
 
 /// The process-wide compiled-code cache (a zero-sized facade over
@@ -87,80 +62,25 @@ impl CodeCache {
     ///
     /// Propagates [`nfi_pylite::compile::compile_module`] errors.
     pub fn compile(&self, module: &Module, module_fp: u64) -> Result<Rc<Code>, PyliteError> {
-        let hit = TABLE.with(|t| {
-            let mut t = t.borrow_mut();
-            t.clock += 1;
-            let clock = t.clock;
-            t.map.get_mut(&module_fp).map(|e| {
-                e.last_used = clock;
-                Rc::clone(&e.code)
-            })
-        });
-        if let Some(code) = hit {
-            HITS.fetch_add(1, Ordering::Relaxed);
+        if let Some(code) = TABLE.with_borrow(|t| t.get(&module_fp, &COUNTERS)) {
             return Ok(code);
         }
         let code = compile_module(module)?;
-        MISSES.fetch_add(1, Ordering::Relaxed);
-        TABLE.with(|t| {
-            let mut t = t.borrow_mut();
-            while t.map.len() >= CODE_CACHE_CAPACITY && !t.map.contains_key(&module_fp) {
-                let Some(oldest) = t
-                    .map
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| *k)
-                else {
-                    break;
-                };
-                t.map.remove(&oldest);
-                ENTRIES.fetch_sub(1, Ordering::Relaxed);
-                EVICTIONS.fetch_add(1, Ordering::Relaxed);
-            }
-            t.clock += 1;
-            let clock = t.clock;
-            if t.map
-                .insert(
-                    module_fp,
-                    CodeEntry {
-                        code: Rc::clone(&code),
-                        last_used: clock,
-                    },
-                )
-                .is_none()
-            {
-                ENTRIES.fetch_add(1, Ordering::Relaxed);
-            }
-        });
+        TABLE.with_borrow_mut(|t| t.insert(module_fp, Rc::clone(&code), &COUNTERS));
         Ok(code)
     }
 
-    /// Aggregated counters across all threads. `entries` counts every
-    /// live thread's resident entries; `capacity` is the per-thread cap.
+    /// Counters summed over all threads.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: HITS.load(Ordering::Relaxed),
-            misses: MISSES.load(Ordering::Relaxed),
-            entries: ENTRIES.load(Ordering::Relaxed) as usize,
-            evictions: EVICTIONS.load(Ordering::Relaxed),
-            capacity: Some(CODE_CACHE_CAPACITY),
-        }
+        COUNTERS.stats()
     }
 
     /// Drops the calling thread's entries and zeroes the global counters
     /// (cold-start benches; entries warmed by *other* threads stay
-    /// resident there but are removed from the entry count they already
-    /// surrendered on their thread's exit or here on ours).
+    /// resident there).
     pub fn clear(&self) {
-        TABLE.with(|t| {
-            let mut t = t.borrow_mut();
-            ENTRIES.fetch_sub(t.map.len() as u64, Ordering::Relaxed);
-            t.map.clear();
-            t.clock = 0;
-        });
-        HITS.store(0, Ordering::Relaxed);
-        MISSES.store(0, Ordering::Relaxed);
-        EVICTIONS.store(0, Ordering::Relaxed);
+        TABLE.with_borrow_mut(Table::clear);
+        COUNTERS.reset();
     }
 }
 

@@ -85,14 +85,8 @@ fn compile_failure(name: &str) -> TestResult {
 /// fault), each test is reported as failed with `module_failed` set —
 /// the suite cannot even load.
 pub fn run_suite(module: &Module, config: &MachineConfig) -> SuiteReport {
-    run_suite_keyed(module, fingerprint(module), config)
-}
-
-/// [`run_suite`] for a pre-computed module fingerprint — the hot-loop
-/// entry point for drivers that already fingerprint the module once.
-pub fn run_suite_keyed(module: &Module, module_fp: u64, config: &MachineConfig) -> SuiteReport {
     let mut machine = Machine::new(config.clone());
-    run_suite_in(&mut machine, module, module_fp, config)
+    run_suite_in(&mut machine, module, fingerprint(module), config)
 }
 
 /// Runs the suite on a caller-provided machine, resetting its per-run

@@ -52,8 +52,6 @@ pub use experiment::{
     ExperimentReport, TestComparison,
 };
 pub use explore::{explore_schedules, ExplorationReport};
-pub use harness::{
-    run_suite, run_suite_in, run_suite_keyed, run_suite_uncached, SuiteReport, TestResult,
-};
-pub use memo::{run_experiment_memo, CacheStats, ExperimentCache, Memo, SuiteCache};
+pub use harness::{run_suite, run_suite_in, run_suite_uncached, SuiteReport, TestResult};
+pub use memo::{CacheStats, ExperimentCache, Memo, SuiteCache};
 pub use patch::{integrate_snippet, replace_function, PatchError};

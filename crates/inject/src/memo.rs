@@ -13,11 +13,19 @@
 //! Because the key is content-addressed, memoization can never change a
 //! result — a hit returns exactly what the miss computed — so cached and
 //! uncached runs are bit-identical by construction.
+//!
+//! The module's one bounded table, `Table`, backs all four caches: this
+//! experiment cache and `nfi_core`'s mutant cache hold one behind a lock
+//! ([`Memo`]); [`SuiteCache`] and [`crate::codecache::CodeCache`] hold
+//! one per thread.
 
 use crate::experiment::{run_experiment_in, run_experiment_keyed, ExperimentReport};
 use crate::harness::{run_suite_in, SuiteReport};
 use nfi_pylite::{fingerprint, Machine, MachineConfig, Module};
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::Hash;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -28,148 +36,134 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to compute.
     pub misses: u64,
-    /// Entries currently stored.
-    pub entries: usize,
-    /// Entries evicted to respect the capacity bound.
-    pub evictions: u64,
-    /// Entry capacity (`None` = unbounded).
-    pub capacity: Option<usize>,
 }
 
 /// The default entry cap for the process-wide caches: far above what
-/// the corpus-wide benches populate (a few thousand entries), so their
-/// hit rates are unchanged, while still bounding a long-lived service
-/// that streams campaigns through one process.
+/// one corpus campaign populates (a few thousand entries), so its hit
+/// rates are unchanged, while still bounding a long-lived service that
+/// streams campaigns through one process.
 pub const DEFAULT_CACHE_CAPACITY: usize = 65_536;
 
-/// One memoized value plus the logical clock of its last use — the
-/// recency key of the LRU eviction policy.
-struct MemoEntry<V> {
-    value: V,
-    last_used: u64,
-}
-
-/// Interior table state: entries plus the monotonic use-clock. Behind
-/// one mutex so a hit can bump `last_used` in place.
-struct MemoMap<K, V> {
-    map: HashMap<K, MemoEntry<V>>,
-    clock: u64,
-}
-
-/// A generic hit-counting memo table: the shared scaffolding behind
-/// [`ExperimentCache`] and `nfi_core`'s mutant cache. Values are
-/// computed outside the lock — concurrent misses on the same key
-/// duplicate work once but never block the whole pool on one compute.
-///
-/// A table built with [`Memo::bounded`] caps its entry count: once
-/// full, inserting a new key evicts the least-recently-used entry
-/// (exact LRU by a logical use-clock; eviction scans for the minimum,
-/// which is fine at the access rates of these caches — evictions only
-/// start once campaigns outgrow the default capacity).
-pub struct Memo<K, V> {
-    inner: Mutex<MemoMap<K, V>>,
+/// The hits and misses of one cache, summed over every thread that
+/// looks it up.
+pub(crate) struct Counters {
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
-    capacity: Option<usize>,
 }
 
-impl<K: Eq + std::hash::Hash + Clone, V: Clone> Memo<K, V> {
-    /// An empty, unbounded memo table.
-    pub fn new() -> Memo<K, V> {
-        Memo::with_capacity(None)
-    }
-
-    /// An empty memo table holding at most `capacity` entries
-    /// (clamped to at least 1), evicting least-recently-used beyond it.
-    pub fn bounded(capacity: usize) -> Memo<K, V> {
-        Memo::with_capacity(Some(capacity.max(1)))
-    }
-
-    fn with_capacity(capacity: Option<usize>) -> Memo<K, V> {
-        Memo {
-            inner: Mutex::new(MemoMap {
-                map: HashMap::new(),
-                clock: 0,
-            }),
+impl Counters {
+    pub(crate) const fn new() -> Counters {
+        Counters {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            capacity,
+        }
+    }
+
+    pub(crate) fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+        }
+    }
+
+    pub(crate) fn reset(&self) {
+        self.hits.store(0, Ordering::Relaxed);
+        self.misses.store(0, Ordering::Relaxed);
+    }
+}
+
+/// The one bounded table behind all four caches: a `HashMap` that
+/// empties itself when inserting a new key would pass its cap. Below
+/// the cap it never forgets an entry; at the cap one `clear` stands in
+/// for an eviction policy, which costs a long-lived process one cold
+/// lookup per entry it still needed instead of a scan of the table on
+/// every miss.
+pub(crate) struct Table<K, V> {
+    map: HashMap<K, V>,
+    cap: usize,
+}
+
+impl<K: Eq + Hash, V: Clone> Table<K, V> {
+    /// An empty table holding at most `cap` entries (at least 1).
+    pub(crate) fn new(cap: usize) -> Table<K, V> {
+        Table {
+            map: HashMap::new(),
+            cap: cap.max(1),
+        }
+    }
+
+    /// The value memoized under `key`, counting the hit.
+    pub(crate) fn get(&self, key: &K, counters: &Counters) -> Option<V> {
+        let value = self.map.get(key).cloned();
+        if value.is_some() {
+            counters.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        value
+    }
+
+    /// Memoizes the value a miss computed, counting the miss. A
+    /// concurrent duplicate compute of a resident key overwrites it in
+    /// place and never clears the table.
+    pub(crate) fn insert(&mut self, key: K, value: V, counters: &Counters) {
+        counters.misses.fetch_add(1, Ordering::Relaxed);
+        if self.map.len() >= self.cap && !self.map.contains_key(&key) {
+            self.map.clear();
+        }
+        self.map.insert(key, value);
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.map.clear();
+    }
+}
+
+/// A hit-counting memo table shared by every thread: the scaffolding
+/// behind [`ExperimentCache`] and `nfi_core`'s mutant cache. Values are
+/// computed outside the lock — concurrent misses on the same key
+/// duplicate work once but never block the whole pool on one compute.
+pub struct Memo<K, V> {
+    table: Mutex<Table<K, V>>,
+    counters: Counters,
+}
+
+impl<K: Eq + Hash, V: Clone> Memo<K, V> {
+    /// An empty memo table holding at most `capacity` entries (at
+    /// least 1).
+    pub fn new(capacity: usize) -> Memo<K, V> {
+        Memo {
+            table: Mutex::new(Table::new(capacity)),
+            counters: Counters::new(),
         }
     }
 
     /// Returns the memoized value for `key`, computing and recording it
-    /// on a miss. On a bounded table a miss that would exceed the cap
-    /// evicts the least-recently-used entry first.
+    /// on a miss.
     pub fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> V {
+        if let Some(value) = self
+            .table
+            .lock()
+            .expect("memo lock")
+            .get(&key, &self.counters)
         {
-            let mut inner = self.inner.lock().expect("memo lock");
-            inner.clock += 1;
-            let clock = inner.clock;
-            if let Some(entry) = inner.map.get_mut(&key) {
-                entry.last_used = clock;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return entry.value.clone();
-            }
+            return value;
         }
         let value = compute();
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.inner.lock().expect("memo lock");
-        if let Some(cap) = self.capacity {
-            // `>=` because the new key is about to land; a concurrent
-            // duplicate compute of the same key overwrites in place and
-            // must not evict anything.
-            while inner.map.len() >= cap && !inner.map.contains_key(&key) {
-                let Some(oldest) = inner
-                    .map
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| k.clone())
-                else {
-                    break;
-                };
-                inner.map.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        inner.clock += 1;
-        let clock = inner.clock;
-        inner.map.insert(
-            key,
-            MemoEntry {
-                value: value.clone(),
-                last_used: clock,
-            },
-        );
+        self.table
+            .lock()
+            .expect("memo lock")
+            .insert(key, value.clone(), &self.counters);
         value
     }
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.inner.lock().expect("memo lock").map.len(),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            capacity: self.capacity,
-        }
+        self.counters.stats()
     }
 
     /// Drops every entry and zeroes the counters (cold-start benches).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("memo lock");
-        inner.map.clear();
-        inner.clock = 0;
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-    }
-}
-
-impl<K: Eq + std::hash::Hash + Clone, V: Clone> Default for Memo<K, V> {
-    fn default() -> Self {
-        Memo::new()
+        self.table.lock().expect("memo lock").clear();
+        self.counters.reset();
     }
 }
 
@@ -179,27 +173,18 @@ pub struct ExperimentCache {
 }
 
 impl ExperimentCache {
-    /// An empty unbounded cache (tests; the shared one is
-    /// [`ExperimentCache::global`]).
+    /// An empty cache holding at most [`DEFAULT_CACHE_CAPACITY`]
+    /// reports (tests; the shared one is [`ExperimentCache::global`]).
     pub fn new() -> ExperimentCache {
-        ExperimentCache { memo: Memo::new() }
-    }
-
-    /// An empty cache holding at most `capacity` reports, evicting
-    /// least-recently-used beyond it.
-    pub fn bounded(capacity: usize) -> ExperimentCache {
         ExperimentCache {
-            memo: Memo::bounded(capacity),
+            memo: Memo::new(DEFAULT_CACHE_CAPACITY),
         }
     }
 
-    /// The process-wide cache, bounded at [`DEFAULT_CACHE_CAPACITY`]
-    /// entries so unboundedly long campaign streams cannot exhaust
-    /// memory (the cap is far above what the corpus benches populate,
-    /// so their hit rates are unaffected).
+    /// The process-wide cache.
     pub fn global() -> &'static ExperimentCache {
         static GLOBAL: OnceLock<ExperimentCache> = OnceLock::new();
-        GLOBAL.get_or_init(|| ExperimentCache::bounded(DEFAULT_CACHE_CAPACITY))
+        GLOBAL.get_or_init(ExperimentCache::new)
     }
 
     /// Runs (or replays) the experiment for pre-computed module
@@ -277,33 +262,11 @@ impl Default for ExperimentCache {
 /// streaming arbitrary programs through one worker thread.
 pub const SUITE_CACHE_CAPACITY: usize = 1024;
 
-static SUITE_HITS: AtomicU64 = AtomicU64::new(0);
-static SUITE_MISSES: AtomicU64 = AtomicU64::new(0);
-static SUITE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
-/// Entries resident across all live threads (each thread's map
-/// subtracts its length when the thread exits).
-static SUITE_ENTRIES: AtomicU64 = AtomicU64::new(0);
-
-struct SuiteEntry {
-    report: std::rc::Rc<SuiteReport>,
-    last_used: u64,
-}
-
-#[derive(Default)]
-struct SuiteTable {
-    map: HashMap<(u64, u64), SuiteEntry>,
-    clock: u64,
-}
-
-impl Drop for SuiteTable {
-    fn drop(&mut self) {
-        SUITE_ENTRIES.fetch_sub(self.map.len() as u64, Ordering::Relaxed);
-    }
-}
+static SUITE_COUNTERS: Counters = Counters::new();
 
 thread_local! {
-    static SUITE_TABLE: std::cell::RefCell<SuiteTable> =
-        std::cell::RefCell::new(SuiteTable::default());
+    static SUITE_TABLE: RefCell<Table<(u64, u64), Rc<SuiteReport>>> =
+        RefCell::new(Table::new(SUITE_CACHE_CAPACITY));
 }
 
 /// A memo of pristine suite reports, keyed by
@@ -316,14 +279,13 @@ thread_local! {
 /// in `(module, config)`, so memoizing it can never change a report —
 /// a hit returns exactly what the miss computed. Only the pristine side
 /// of an experiment consults this table; faulty suites are unique per
-/// mutant and would just churn the LRU.
+/// mutant and would only fill it.
 ///
 /// Suite reports hold `Rc`-based run outcomes and are not `Send`, so
 /// like [`crate::codecache::CodeCache`] (and unlike [`Memo`]) the table
 /// is **thread-local** — each executor thread warms its own — while the
-/// counters are process-wide atomics so [`SuiteCache::stats`] aggregates
-/// all threads. Eviction is the same exact LRU by logical use-clock,
-/// applied per thread.
+/// counters are process-wide, so [`SuiteCache::stats`] sums all
+/// threads.
 pub struct SuiteCache {
     _priv: (),
 }
@@ -346,90 +308,27 @@ impl SuiteCache {
         module: &Module,
         module_fp: u64,
         config: &MachineConfig,
-    ) -> std::rc::Rc<SuiteReport> {
+    ) -> Rc<SuiteReport> {
         let key = (module_fp, config.fingerprint());
-        let hit = SUITE_TABLE.with(|t| {
-            let mut t = t.borrow_mut();
-            t.clock += 1;
-            let clock = t.clock;
-            t.map.get_mut(&key).map(|e| {
-                e.last_used = clock;
-                std::rc::Rc::clone(&e.report)
-            })
-        });
-        if let Some(report) = hit {
-            SUITE_HITS.fetch_add(1, Ordering::Relaxed);
+        if let Some(report) = SUITE_TABLE.with_borrow(|t| t.get(&key, &SUITE_COUNTERS)) {
             return report;
         }
-        let report = std::rc::Rc::new(run_suite_in(machine, module, module_fp, config));
-        SUITE_MISSES.fetch_add(1, Ordering::Relaxed);
-        SUITE_TABLE.with(|t| {
-            let mut t = t.borrow_mut();
-            while t.map.len() >= SUITE_CACHE_CAPACITY && !t.map.contains_key(&key) {
-                let Some(oldest) = t
-                    .map
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| *k)
-                else {
-                    break;
-                };
-                t.map.remove(&oldest);
-                SUITE_ENTRIES.fetch_sub(1, Ordering::Relaxed);
-                SUITE_EVICTIONS.fetch_add(1, Ordering::Relaxed);
-            }
-            t.clock += 1;
-            let clock = t.clock;
-            if t.map
-                .insert(
-                    key,
-                    SuiteEntry {
-                        report: std::rc::Rc::clone(&report),
-                        last_used: clock,
-                    },
-                )
-                .is_none()
-            {
-                SUITE_ENTRIES.fetch_add(1, Ordering::Relaxed);
-            }
-        });
+        let report = Rc::new(run_suite_in(machine, module, module_fp, config));
+        SUITE_TABLE.with_borrow_mut(|t| t.insert(key, Rc::clone(&report), &SUITE_COUNTERS));
         report
     }
 
-    /// Aggregated counters across all threads. `entries` counts every
-    /// live thread's resident entries; `capacity` is the per-thread cap.
+    /// Counters summed over all threads.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: SUITE_HITS.load(Ordering::Relaxed),
-            misses: SUITE_MISSES.load(Ordering::Relaxed),
-            entries: SUITE_ENTRIES.load(Ordering::Relaxed) as usize,
-            evictions: SUITE_EVICTIONS.load(Ordering::Relaxed),
-            capacity: Some(SUITE_CACHE_CAPACITY),
-        }
+        SUITE_COUNTERS.stats()
     }
 
     /// Drops the calling thread's entries and zeroes the global counters
     /// (cold-start benches).
     pub fn clear(&self) {
-        SUITE_TABLE.with(|t| {
-            let mut t = t.borrow_mut();
-            SUITE_ENTRIES.fetch_sub(t.map.len() as u64, Ordering::Relaxed);
-            t.map.clear();
-            t.clock = 0;
-        });
-        SUITE_HITS.store(0, Ordering::Relaxed);
-        SUITE_MISSES.store(0, Ordering::Relaxed);
-        SUITE_EVICTIONS.store(0, Ordering::Relaxed);
+        SUITE_TABLE.with_borrow_mut(Table::clear);
+        SUITE_COUNTERS.reset();
     }
-}
-
-/// [`run_experiment`] through the process-wide memo table.
-pub fn run_experiment_memo(
-    pristine: &Module,
-    faulty: &Module,
-    config: &MachineConfig,
-) -> ExperimentReport {
-    ExperimentCache::global().run(pristine, faulty, config)
 }
 
 #[cfg(test)]
@@ -469,7 +368,7 @@ def test_price():
         let second = cache.run(&pristine, &faulty, &config);
         assert_eq!(first.overall, second.overall);
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]
@@ -518,60 +417,78 @@ def test_sm_probe():
     }
 
     #[test]
-    fn bounded_memo_evicts_least_recently_used() {
-        let memo: Memo<u64, u64> = Memo::bounded(3);
-        for k in 0..3 {
-            memo.get_or_insert_with(k, || k * 10);
+    fn a_fourth_key_empties_a_table_capped_at_three() {
+        let counters = Counters::new();
+        let mut table: Table<u64, u64> = Table::new(3);
+        for k in 0..4 {
+            assert_eq!(table.get(&k, &counters), None);
+            table.insert(k, k * 10, &counters);
+            assert!(table.map.len() <= 3, "the table passed its cap");
         }
-        // Touch 0 and 2 so key 1 is the least recently used.
-        memo.get_or_insert_with(0, || unreachable!());
-        memo.get_or_insert_with(2, || unreachable!());
-        memo.get_or_insert_with(3, || 30);
-        let stats = memo.stats();
-        assert_eq!(stats.entries, 3);
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.capacity, Some(3));
-        // Key 1 was evicted (recomputes); 0, 2, 3 are still resident.
-        let mut recomputed = false;
-        memo.get_or_insert_with(1, || {
-            recomputed = true;
-            10
-        });
-        assert!(recomputed, "LRU key should have been evicted");
-        // Re-inserting 1 evicted the then-LRU key 0; the most recently
-        // used keys {2, 3, 1} are resident.
-        for k in [2u64, 3, 1] {
-            memo.get_or_insert_with(k, || panic!("key {k} should be resident"));
-        }
-        assert_eq!(memo.stats().evictions, 2);
+        assert_eq!(table.map.len(), 1, "the fourth key emptied the table");
+        assert_eq!(table.get(&3, &counters), Some(30));
+        // An earlier key misses and recomputes an equal value.
+        let k = 1;
+        assert_eq!(table.get(&k, &counters), None);
+        table.insert(k, k * 10, &counters);
+        assert_eq!(table.get(&k, &counters), Some(10));
+        assert_eq!(counters.stats(), CacheStats { hits: 2, misses: 5 });
     }
 
     #[test]
-    fn unbounded_memo_never_evicts() {
-        let memo: Memo<u64, u64> = Memo::new();
+    fn bounded_memo_recomputes_equal_values_after_it_clears() {
+        let memo: Memo<u64, u64> = Memo::new(3);
+        for k in 0..3 {
+            memo.get_or_insert_with(k, || k * 10);
+        }
+        memo.get_or_insert_with(0, || unreachable!());
+        memo.get_or_insert_with(2, || unreachable!());
+        // A fourth key empties the full table first.
+        assert_eq!(memo.get_or_insert_with(3, || 30), 30);
+        let mut recomputed = false;
+        let value = memo.get_or_insert_with(1, || {
+            recomputed = true;
+            10
+        });
+        assert!(recomputed, "key 1 should have been cleared");
+        assert_eq!(value, 10);
+        for k in [3u64, 1] {
+            memo.get_or_insert_with(k, || panic!("key {k} should be resident"));
+        }
+        assert_eq!(memo.stats(), CacheStats { hits: 4, misses: 5 });
+    }
+
+    #[test]
+    fn memo_at_its_cap_never_forgets() {
+        let memo: Memo<u64, u64> = Memo::new(1000);
         for k in 0..1000 {
             memo.get_or_insert_with(k, || k);
         }
-        let stats = memo.stats();
-        assert_eq!((stats.entries, stats.evictions), (1000, 0));
-        assert_eq!(stats.capacity, None);
+        for k in 0..1000 {
+            assert_eq!(
+                memo.get_or_insert_with(k, || panic!("key {k} was dropped")),
+                k
+            );
+        }
+        assert_eq!((memo.stats().hits, memo.stats().misses), (1000, 1000));
     }
 
     #[test]
     fn bounded_experiment_cache_stays_within_capacity() {
         let pristine = parse(BASE).unwrap();
-        let cache = ExperimentCache::bounded(2);
-        for factor in [11, 12, 13, 14] {
-            let faulty = parse(&BASE.replace("* 10", &format!("* {factor}"))).unwrap();
-            cache.run(&pristine, &faulty, &MachineConfig::default());
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 2);
-        assert_eq!(stats.misses, 4);
-        assert_eq!(stats.evictions, 2);
-        // A replay of a resident entry is still a hit.
-        let faulty = parse(&BASE.replace("* 10", "* 14")).unwrap();
-        cache.run(&pristine, &faulty, &MachineConfig::default());
-        assert_eq!(cache.stats().hits, 1);
+        let cache = ExperimentCache { memo: Memo::new(2) };
+        let faulty = |factor: u32| parse(&BASE.replace("* 10", &format!("* {factor}"))).unwrap();
+        let first: Vec<ExperimentReport> = [11, 12, 13, 14]
+            .into_iter()
+            .map(|factor| cache.run(&pristine, &faulty(factor), &MachineConfig::default()))
+            .collect();
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 4 });
+        // A replay of the last entry is still a hit; the first was
+        // cleared and recomputes to an equal report.
+        let last = cache.run(&pristine, &faulty(14), &MachineConfig::default());
+        let again = cache.run(&pristine, &faulty(11), &MachineConfig::default());
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 5 });
+        assert_eq!(format!("{last:?}"), format!("{:?}", first[3]));
+        assert_eq!(format!("{again:?}"), format!("{:?}", first[0]));
     }
 }

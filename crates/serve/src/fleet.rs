@@ -827,12 +827,7 @@ impl Fleet {
 /// index bytes, mod the chunk count — stable across dispatches, so the
 /// same miss set always chunks the same way.
 fn chunk_of(index: usize, chunks: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in index.to_le_bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % chunks as u64) as usize
+    (nfi_pylite::fnv1a(&index.to_le_bytes()) % chunks as u64) as usize
 }
 
 #[cfg(test)]

@@ -95,11 +95,6 @@ impl Shard {
     pub fn covers(self, i: usize) -> bool {
         i % self.count == self.index
     }
-
-    /// Whether this is the full (unsharded) run.
-    pub fn is_full(self) -> bool {
-        self.count == 1
-    }
 }
 
 impl Default for Shard {
@@ -300,26 +295,20 @@ impl CampaignSpec {
         }
     }
 
-    /// Unit indices covered by `shard`, in index order.
-    pub fn shard_unit_indices(&self, shard: Shard) -> Vec<usize> {
-        (0..self.units.len()).filter(|&i| shard.covers(i)).collect()
-    }
-
     /// The spec restricted to the units whose **global** index is in
     /// `indices` — same program, source, and fingerprint, so any
     /// executor accepts it, and the surviving units keep their global
     /// indices, so their outcome lines merge back into the full run
     /// untouched. This is how an orchestrator hands an arbitrary
-    /// store-miss set to another executor: the serve daemon's process
-    /// pool encodes the subset once and strides it over `nfi campaign
-    /// exec --shard i/n` children, and its worker fleet encodes one
-    /// subset per hash chunk and ships each to a remote `nfi worker`
-    /// as a self-contained assignment (the subset carries the source,
-    /// so the worker needs no shared filesystem). Because indices are
-    /// global and units carry their own seeds, a subset's outcome
-    /// lines are byte-for-byte the lines a full local run would have
-    /// produced for those units — the foundation of the
-    /// byte-identical-merge guarantee across all executors.
+    /// store-miss set to another executor: the serve daemon's worker
+    /// fleet encodes one subset per hash chunk and ships each to an
+    /// `nfi worker`, local or remote, as a self-contained assignment
+    /// (the subset carries the source, so the worker needs no shared
+    /// filesystem). Because indices are global and units carry their
+    /// own seeds, a subset's outcome lines are byte-for-byte the lines a
+    /// full local run would have produced for those units — the
+    /// foundation of the byte-identical-merge guarantee across all
+    /// executors.
     pub fn subset(&self, indices: &[usize]) -> CampaignSpec {
         let wanted: std::collections::HashSet<usize> = indices.iter().copied().collect();
         CampaignSpec {
@@ -550,7 +539,8 @@ mod tests {
         for count in [1usize, 2, 3, 5] {
             let mut seen = Vec::new();
             for index in 0..count {
-                seen.extend(spec.shard_unit_indices(Shard { index, count }));
+                let shard = Shard { index, count };
+                seen.extend((0..n).filter(|&i| shard.covers(i)));
             }
             seen.sort_unstable();
             assert_eq!(seen, (0..n).collect::<Vec<_>>(), "count={count}");

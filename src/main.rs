@@ -38,7 +38,7 @@ USAGE:
   nfi dataset [--cap N] [--seed N] [--incidents] [--out PATH]
   nfi explore (--program <name> | --file <path>) --describe \"<fault>\" [--seeds N]
   nfi campaign plan (--program <name> | --file <path>) [--as <name>] [--seed N] [--out PATH]
-  nfi campaign exec --plan PATH [--shard i/n] [--threads N] [--no-cache] [--out PATH]
+  nfi campaign exec --plan PATH [--shard i/n] [--threads N] [--out PATH]
   nfi campaign merge <run.jsonl>... [--out PATH]
   nfi campaign run --state-dir <dir> [--threads N] [--seed N] [--as <name>]
                    [--no-anchor-reuse] [--out-dir DIR] [--trace]
@@ -128,7 +128,7 @@ fn accepted_flags(command: &str, sub: Option<&str>) -> Option<&'static str> {
         ("dataset", _) => "cap seed incidents out",
         ("explore", _) => "program file describe seeds",
         ("campaign", Some("plan")) => "program file as seed out",
-        ("campaign", Some("exec")) => "plan shard threads no-cache out",
+        ("campaign", Some("exec")) => "plan shard threads out",
         ("campaign", Some("merge")) => "out",
         ("campaign", Some("run")) => {
             "state-dir threads seed as no-anchor-reuse out-dir trace program file"
@@ -564,10 +564,10 @@ fn cmd_campaign(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), 
                 Some(s) => Shard::parse(s).map_err(|e| format!("--shard: {e}"))?,
                 None => Shard::FULL,
             };
-            let config = exec_config(flags)?
-                .sharded(shard)
-                .cached(!flags.contains_key("no-cache"));
-            let run = service::exec_spec(&spec, &MachineConfig::default(), config)?;
+            let run =
+                service::exec_units(&spec, &MachineConfig::default(), exec_config(flags)?, |u| {
+                    shard.covers(u.index)
+                })?;
             eprintln!(
                 "executed shard {shard}: {} of {} units",
                 run.outcomes.len(),

@@ -14,7 +14,8 @@
 //! the budget, or ends with an outcome that differs from the predicted
 //! one in any field but `steps`. It also fails unless every `pipeline`
 //! budget run was predicted. Every run goes through the uncached
-//! experiment path, so no memo table hides a run from the check.
+//! reference path (`reference_run`, `run_experiment`), so no memo table
+//! hides a run from the check.
 //!
 //! The budget runs take about 20 seconds in a release build and far
 //! longer in a debug one, so debug builds skip the test:
@@ -22,9 +23,8 @@
 //! runs it and prints proven hangs against budget runs per program.
 
 use nfi_bench::scenarios::build_scenarios;
-use nfi_core::exec::ExecConfig;
 use nfi_core::pipeline::{NeuralFaultInjector, PipelineConfig};
-use nfi_core::service::{exec_spec, plan_campaign};
+use nfi_core::service::{plan_campaign, reference_run};
 use nfi_core::session::run_session;
 use nfi_inject::{integrate_snippet, run_experiment, PatchError};
 use nfi_pylite::machine::shadow::{self, ShadowRun};
@@ -89,8 +89,7 @@ fn every_hang_proof_matches_its_budget_run() {
     for program in nfi_corpus::all() {
         let spec =
             plan_campaign(program.name, program.source, machine.seed).expect("plannable corpus");
-        let (run, runs) =
-            shadow::record(|| exec_spec(&spec, &machine, ExecConfig::sequential().cached(false)));
+        let (run, runs) = shadow::record(|| reference_run(&spec, &machine));
         run.expect("campaign executes");
         check("campaign", program.name, &runs, &mut campaigns);
     }

@@ -667,6 +667,10 @@ fn strict_flag_validation_rejects_nonsense_up_front() {
             "unknown flag `--seeed` for `nfi campaign plan`",
         ),
         (
+            &["campaign", "exec", "--plan", "nowhere", "--no-cache"],
+            "unknown flag `--no-cache` for `nfi campaign exec`",
+        ),
+        (
             &[
                 "serve",
                 "--state-dir",
