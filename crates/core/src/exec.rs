@@ -26,7 +26,7 @@
 
 use crate::cache::MutantCache;
 use nfi_inject::memo::ExperimentCache;
-use nfi_inject::{ExperimentReport, FailureMode};
+use nfi_inject::ExperimentReport;
 use nfi_pylite::{MachineConfig, Module};
 use nfi_sfi::FaultPlan;
 use rayon::prelude::*;
@@ -96,54 +96,19 @@ pub fn par_map_indexed<R: Send>(
         .install(|| (0..n).into_par_iter().map(f).collect())
 }
 
-/// Outcome of one plan in a campaign run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanOutcome {
-    /// Operator mnemonic.
-    pub operator: &'static str,
-    /// Fault-class key.
-    pub class: &'static str,
-    /// Whether the plan still applied (site present).
-    pub applied: bool,
-    /// Whether the fault had an observable effect under test.
-    pub activated: bool,
-    /// Whether the embedded suite detected it.
-    pub detected: bool,
-    /// Most severe failure mode, when the plan applied.
-    pub mode: Option<FailureMode>,
-}
-
-impl PlanOutcome {
-    /// The outcome of `plan` from its experiment's report, or from
-    /// `None` when the plan's site is gone.
-    pub(crate) fn new(plan: &FaultPlan, report: Option<ExperimentReport>) -> PlanOutcome {
-        let (applied, activated, detected, mode) = match report {
-            Some(r) => (true, r.activated, r.detected, Some(r.overall)),
-            None => (false, false, false, None),
-        };
-        PlanOutcome {
-            operator: plan.operator,
-            class: plan.class.key(),
-            applied,
-            activated,
-            detected,
-            mode,
-        }
-    }
-}
-
 /// Applies one plan to a module and runs the differential experiment,
-/// both through the process-wide mutant and experiment caches. This is
-/// the engine's unit of work: outcomes depend only on (module, plan,
-/// machine config), never on shared mutable state, so a cache hit
-/// returns what the run would have.
+/// both through the process-wide mutant and experiment caches; `None`
+/// when the plan's site is gone. This is the engine's unit of work:
+/// outcomes depend only on (module, plan, machine config), never on
+/// shared mutable state, so a cache hit returns what the run would
+/// have.
 pub fn execute_plan(
     module: &Module,
     module_fp: u64,
     plan: &FaultPlan,
     machine: &MachineConfig,
-) -> PlanOutcome {
-    let report = MutantCache::global()
+) -> Option<ExperimentReport> {
+    MutantCache::global()
         .apply(module, module_fp, plan)
         .map(|mutant| {
             ExperimentCache::global().run_keyed(
@@ -153,8 +118,7 @@ pub fn execute_plan(
                 mutant.module_fp,
                 machine,
             )
-        });
-    PlanOutcome::new(plan, report)
+        })
 }
 
 #[cfg(test)]

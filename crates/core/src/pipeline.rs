@@ -142,27 +142,6 @@ impl NeuralFaultInjector {
         self.inject_prepared(spec, nlp_us, module)
     }
 
-    /// Runs a whole batch of descriptions against one module through
-    /// the batched NLP engine: the module's symbol index is built once
-    /// for the batch ([`nfi_nlp::analyze_batch`]) instead of once per
-    /// description, then each spec runs the generate → integrate → test
-    /// stages as usual. Outcome `i` equals
-    /// `self.inject_module(descriptions[i], module)` (modulo the
-    /// amortized NLP timing).
-    pub fn inject_batch_module<S: AsRef<str>>(
-        &mut self,
-        descriptions: &[S],
-        module: &Module,
-    ) -> Vec<Result<InjectionReport, PipelineError>> {
-        let t = Instant::now();
-        let specs = nfi_nlp::analyze_batch(descriptions, Some(module));
-        let nlp_us = t.elapsed().as_micros() / descriptions.len().max(1) as u128;
-        specs
-            .into_iter()
-            .map(|spec| self.inject_prepared(spec, nlp_us, module))
-            .collect()
-    }
-
     /// Runs the generation → integration → testing stages for a spec
     /// the caller already produced (e.g. through a shared
     /// [`nfi_nlp::Analyzer`]). `nlp_us` is the NLP time to record in
@@ -289,18 +268,21 @@ def test_ok():
     }
 
     #[test]
-    fn batch_injection_equals_sequential_injection() {
+    fn shared_analyzer_injection_equals_per_item_injection() {
         let module = nfi_pylite::parse(ECOMMERCE).unwrap();
         let descriptions = [
             "Simulate a database timeout causing an unhandled exception in process_transaction.",
             "Leak the database connection handle in process_transaction.",
         ];
-        let mut batched = NeuralFaultInjector::new(PipelineConfig::default());
+        // The E-drivers' path: one analyzer for the module, then
+        // `inject_prepared` per description.
+        let analyzer = nfi_nlp::Analyzer::new(Some(&module));
+        let mut shared = NeuralFaultInjector::new(PipelineConfig::default());
         let mut sequential = NeuralFaultInjector::new(PipelineConfig::default());
-        let batch = batched.inject_batch_module(&descriptions, &module);
-        assert_eq!(batch.len(), descriptions.len());
-        for (description, got) in descriptions.iter().zip(batch) {
-            let got = got.expect("batch injection succeeds");
+        for description in descriptions {
+            let got = shared
+                .inject_prepared(analyzer.analyze(description), 0, &module)
+                .expect("shared-analyzer injection succeeds");
             let want = sequential
                 .inject_module(description, &module)
                 .expect("sequential injection succeeds");

@@ -26,7 +26,8 @@
 //! anything. [`reference_run`] runs the same units with no cache at
 //! all: it is the reference the byte-parity tests hold the engine to.
 
-use crate::exec::{self, ExecConfig, PlanOutcome};
+use crate::exec::{self, ExecConfig};
+use nfi_inject::ExperimentReport;
 use nfi_pylite::{MachineConfig, Module};
 use nfi_sfi::jsontext::{
     escape, get_bool, get_hex_u64, get_opt_str, get_str, get_usize, parse_flat_object,
@@ -78,17 +79,18 @@ pub struct ShardOutcome {
 }
 
 impl ShardOutcome {
-    fn from_outcome(index: usize, o: &PlanOutcome) -> ShardOutcome {
-        let mode = o.mode.as_ref().map(|m| m.key().to_string());
+    /// The outcome of the plan at global `index` from its experiment's
+    /// report, or from `None` when the plan's site is gone.
+    fn executed(index: usize, plan: &FaultPlan, report: Option<ExperimentReport>) -> ShardOutcome {
         let mut out = ShardOutcome {
             index,
             line: String::new(),
-            operator: o.operator.to_string(),
-            class: o.class.to_string(),
-            applied: o.applied,
-            activated: o.activated,
-            detected: o.detected,
-            mode,
+            operator: plan.operator.to_string(),
+            class: plan.class.key().to_string(),
+            applied: report.is_some(),
+            activated: report.as_ref().is_some_and(|r| r.activated),
+            detected: report.as_ref().is_some_and(|r| r.detected),
+            mode: report.map(|r| r.overall.key().to_string()),
         };
         out.line = out.render();
         out
@@ -307,9 +309,8 @@ pub fn reference_run(spec: &CampaignSpec, machine: &MachineConfig) -> Result<Sha
         ExecConfig::sequential(),
         |_| true,
         |module, _, plan, machine| {
-            let report = nfi_sfi::apply_plan(module, plan)
-                .map(|fault| nfi_inject::run_experiment(module, &fault.module, machine));
-            PlanOutcome::new(plan, report)
+            nfi_sfi::apply_plan(module, plan)
+                .map(|fault| nfi_inject::run_experiment(module, &fault.module, machine))
         },
     )
 }
@@ -321,7 +322,7 @@ fn run_units(
     machine: &MachineConfig,
     config: ExecConfig,
     accept: impl Fn(&WorkUnit) -> bool,
-    run: impl Fn(&Module, u64, &FaultPlan, &MachineConfig) -> PlanOutcome + Sync,
+    run: impl Fn(&Module, u64, &FaultPlan, &MachineConfig) -> Option<ExperimentReport> + Sync,
 ) -> Result<ShardRun, String> {
     let module = nfi_pylite::parse(&spec.source)
         .map_err(|e| format!("cannot parse plan source for {}: {e}", spec.program))?;
@@ -347,7 +348,7 @@ fn run_units(
             seed: *seed,
             ..machine.clone()
         };
-        ShardOutcome::from_outcome(*index, &run(&module, module_fp, plan, &unit_machine))
+        ShardOutcome::executed(*index, plan, run(&module, module_fp, plan, &unit_machine))
     });
     Ok(ShardRun {
         program: spec.program.clone(),

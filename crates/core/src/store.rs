@@ -753,7 +753,7 @@ pub struct Orchestrator {
     /// Machine configuration every experiment runs under (its
     /// fingerprint is half the segment address).
     pub machine: MachineConfig,
-    /// Engine configuration of the miss execution (threads, caches).
+    /// Engine configuration of the miss execution: its thread count.
     pub config: ExecConfig,
     /// Scheduler seed stamped on planned units.
     pub seed: u64,

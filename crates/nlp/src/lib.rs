@@ -225,18 +225,6 @@ pub fn analyze(description: &str, code: Option<&Module>) -> FaultSpec {
     Analyzer::new(code).analyze(description)
 }
 
-/// Analyzes a batch of descriptions against one target module,
-/// amortizing the symbol-index construction (and the lexicon's interned
-/// index, which is process-wide already) across the whole batch.
-/// Element `i` of the result equals `analyze(descriptions[i], code)`.
-pub fn analyze_batch<S: AsRef<str>>(descriptions: &[S], code: Option<&Module>) -> Vec<FaultSpec> {
-    let analyzer = Analyzer::new(code);
-    descriptions
-        .iter()
-        .map(|d| analyzer.analyze(d.as_ref()))
-        .collect()
-}
-
 fn extract_trigger(description: &str, toks: &[String], quantities: &[Quantity]) -> Trigger {
     let lower = description.to_lowercase();
     // Probabilistic: "50% of the time", "sometimes", "intermittently".
@@ -414,10 +402,9 @@ mod tests {
             "Retry 3 times with a 1.5 second delay in retry_transaction.",
         ];
         for code in [Some(&module), None] {
-            let batch = analyze_batch(&descriptions, code);
-            assert_eq!(batch.len(), descriptions.len());
-            for (d, got) in descriptions.iter().zip(&batch) {
-                assert_eq!(got, &analyze(d, code), "diverged on {d:?}");
+            let analyzer = Analyzer::new(code);
+            for d in descriptions {
+                assert_eq!(analyzer.analyze(d), analyze(d, code), "diverged on {d:?}");
             }
         }
     }

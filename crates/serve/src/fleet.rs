@@ -16,8 +16,8 @@
 //!
 //! * a worker `POST /v1/workers` registers with its machine
 //!   fingerprint (refused on mismatch — a different build or machine
-//!   configuration would break byte parity) and receives a
-//!   `(worker id, generation)` identity plus a heartbeat interval;
+//!   configuration would break byte parity) and receives a fresh
+//!   worker id plus a heartbeat interval;
 //! * it heartbeats `POST /v1/workers/:id/heartbeat` from a side
 //!   thread, so liveness survives long executions;
 //! * it pulls assignments with `POST /v1/workers/:id/poll`, which
@@ -51,9 +51,10 @@
 //!   document for an assignment is kept, so [`nfi_core::merge`] never
 //!   sees overlapping coverage and the bytes never depend on how many
 //!   times a chunk ran;
-//! * a worker that rejoins re-registers under a bumped **generation**;
-//!   traffic from its stale generation is refused (and counted), so a
-//!   zombie process cannot corrupt its successor's leases.
+//! * every registration mints a fresh worker id and **retires** the
+//!   id its name held before: the retired id's leases requeue at once,
+//!   and its heartbeats, polls and results are refused (and counted),
+//!   so a zombie process cannot corrupt its successor's leases.
 //!
 //! Every protocol event is counted in [`FleetEvents`] and surfaces,
 //! through the rows of [`crate::metrics::METRICS`], as the `fleet`
@@ -100,8 +101,8 @@ pub struct FleetEvents {
     /// Results discarded because the assignment was already done (or
     /// already harvested) — the at-least-once duplicates.
     pub duplicate_results: AtomicU64,
-    /// Requests refused for carrying a stale generation (or arriving
-    /// from a lost worker that must re-register first).
+    /// Requests refused from a retired worker id (or from a lost
+    /// worker that must re-register first).
     pub stale_rejections: AtomicU64,
     /// Units left uncovered: requeued past their own cap, or stranded
     /// by a stop.
@@ -111,10 +112,12 @@ pub struct FleetEvents {
 /// Why a worker request was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetError {
-    /// No such worker id (daemon restarted, or never registered).
+    /// An id this daemon never minted (it restarted, or the worker
+    /// never registered).
     Unknown,
-    /// The generation is stale, or the worker was marked lost; it must
-    /// re-register before issuing further requests.
+    /// The worker id was retired by a later registration of its name,
+    /// or the worker was marked lost; it must re-register before
+    /// issuing further requests.
     Stale,
     /// Registration refused: capability mismatch.
     Mismatch(String),
@@ -133,11 +136,8 @@ impl std::fmt::Display for FleetError {
 /// A successful registration.
 #[derive(Debug, Clone, Copy)]
 pub struct Registration {
-    /// The worker's id (stable across rejoins of the same name).
+    /// The worker's id, fresh for every registration.
     pub worker: u64,
-    /// The registration generation; every subsequent request must
-    /// carry it, and a rejoin bumps it.
-    pub generation: u64,
     /// The heartbeat interval the worker should keep.
     pub heartbeat_ms: u64,
 }
@@ -167,7 +167,6 @@ pub enum Completion {
 
 #[derive(Debug)]
 struct WorkerEntry {
-    generation: u64,
     last_seen: Instant,
     lost: bool,
 }
@@ -202,7 +201,9 @@ struct Assignment {
 
 #[derive(Debug, Default)]
 struct FleetInner {
+    /// Every current worker id; a retired id is dropped.
     workers: HashMap<u64, WorkerEntry>,
+    /// Each name's current id.
     by_name: HashMap<String, u64>,
     assignments: BTreeMap<u64, Assignment>,
 }
@@ -275,13 +276,13 @@ impl Fleet {
         self.changed.notify_all();
     }
 
-    /// Registers (or re-registers) a worker by name.
+    /// Registers (or re-registers) a worker by name under a fresh id.
     ///
-    /// A name that registered before keeps its worker id but bumps its
-    /// **generation**: the old generation's polls, heartbeats, and
-    /// results are refused from then on, and any leases it held
-    /// requeue immediately — a crashed-and-restarted worker rejoins
-    /// cleanly while its zombie predecessor is fenced off.
+    /// A name that registered before **retires** its previous id: that
+    /// id's polls, heartbeats, and results are refused from then on,
+    /// and any leases it held requeue immediately — a
+    /// crashed-and-restarted worker rejoins cleanly while its zombie
+    /// predecessor is fenced off.
     ///
     /// # Errors
     ///
@@ -296,22 +297,16 @@ impl Fleet {
             )));
         }
         let mut inner = self.lock();
-        let worker = match inner.by_name.get(name) {
-            Some(&id) => id,
-            None => {
-                let id = self.next_worker.fetch_add(1, Ordering::Relaxed) + 1;
-                inner.by_name.insert(name.to_string(), id);
-                id
+        let worker = self.next_worker.fetch_add(1, Ordering::Relaxed) + 1;
+        if let Some(retired) = inner.by_name.insert(name.to_string(), worker) {
+            inner.workers.remove(&retired);
+            if self.requeue_leases_of(&mut inner, retired) {
+                self.requeued();
             }
-        };
-        let generation = inner.workers.get(&worker).map_or(1, |w| w.generation + 1);
-        if self.requeue_leases_of(&mut inner, worker) {
-            self.requeued();
         }
         inner.workers.insert(
             worker,
             WorkerEntry {
-                generation,
                 last_seen: Instant::now(),
                 lost: false,
             },
@@ -320,15 +315,10 @@ impl Fleet {
         log(
             Level::Info,
             "worker_registered",
-            &[
-                ("name", name),
-                ("worker", &worker.to_string()),
-                ("generation", &generation.to_string()),
-            ],
+            &[("name", name), ("worker", &worker.to_string())],
         );
         Ok(Registration {
             worker,
-            generation,
             heartbeat_ms: (self.heartbeat_timeout.as_millis() as u64 / 4).max(50),
         })
     }
@@ -338,11 +328,11 @@ impl Fleet {
     /// # Errors
     ///
     /// [`FleetError::Unknown`] for an unregistered id,
-    /// [`FleetError::Stale`] for a stale generation or a worker
-    /// already marked lost (it must re-register).
-    pub fn heartbeat(&self, worker: u64, generation: u64) -> Result<(), FleetError> {
+    /// [`FleetError::Stale`] for a retired id or a worker already
+    /// marked lost (it must re-register).
+    pub fn heartbeat(&self, worker: u64) -> Result<(), FleetError> {
         let mut inner = self.lock();
-        self.validate(&mut inner, worker, generation)?;
+        self.validate(&mut inner, worker)?;
         self.events.heartbeats.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -362,11 +352,11 @@ impl Fleet {
     ///
     /// Same contract as [`Fleet::heartbeat`]; a rejoin or loss while
     /// the poll waits ends it with [`FleetError::Stale`].
-    pub fn poll(&self, worker: u64, generation: u64) -> Result<Option<Lease>, FleetError> {
+    pub fn poll(&self, worker: u64) -> Result<Option<Lease>, FleetError> {
         let deadline = Instant::now() + self.poll_wait;
         let mut inner = self.lock();
         self.reap(&mut inner);
-        self.validate(&mut inner, worker, generation)?;
+        self.validate(&mut inner, worker)?;
         self.events.polls.fetch_add(1, Ordering::Relaxed);
         if self.requeue_leases_of(&mut inner, worker) {
             self.requeued();
@@ -399,7 +389,7 @@ impl Fleet {
                 .unwrap_or_else(|e| e.into_inner())
                 .0;
             match inner.workers.get(&worker) {
-                Some(w) if w.generation == generation && !w.lost => {}
+                Some(w) if !w.lost => {}
                 _ => return Err(FleetError::Stale),
             }
         }
@@ -415,7 +405,7 @@ impl Fleet {
     /// chunk executed. An error result requeues the assignment if this
     /// worker still holds its lease.
     ///
-    /// A lost (timed-out) worker with a current generation may still
+    /// A lost (timed-out) worker whose id is not retired may still
     /// deliver — that is exactly the duplicate path — but it must
     /// re-register before polling again.
     ///
@@ -427,18 +417,12 @@ impl Fleet {
     pub fn complete(
         &self,
         worker: u64,
-        generation: u64,
         assignment: u64,
         outcome: Result<(String, Vec<String>), String>,
     ) -> Result<Completion, FleetError> {
         let mut inner = self.lock();
-        match inner.workers.get(&worker) {
-            None => return Err(FleetError::Unknown),
-            Some(w) if w.generation != generation => {
-                self.events.stale_rejections.fetch_add(1, Ordering::Relaxed);
-                return Err(FleetError::Stale);
-            }
-            Some(_) => {}
+        if !inner.workers.contains_key(&worker) {
+            return Err(self.absent(worker));
         }
         let Some(a) = inner.assignments.get_mut(&assignment) else {
             // Already harvested by its lane (or the job is gone): a
@@ -724,9 +708,9 @@ impl Fleet {
         }
     }
 
-    /// Requeues every lease held by `worker` (any generation) — the
-    /// rejoin, abandoned-lease and exited-child paths. Returns whether
-    /// any requeued.
+    /// Requeues every lease held by `worker` — the rejoin,
+    /// abandoned-lease and exited-child paths. Returns whether any
+    /// requeued.
     fn requeue_leases_of(&self, inner: &mut FleetInner, worker: u64) -> bool {
         let mut any = false;
         for a in inner.assignments.values_mut() {
@@ -740,23 +724,31 @@ impl Fleet {
         any
     }
 
-    /// Strict liveness check for heartbeat/poll: current generation,
-    /// not lost. Refreshes `last_seen` on success.
-    fn validate(
-        &self,
-        inner: &mut FleetInner,
-        worker: u64,
-        generation: u64,
-    ) -> Result<(), FleetError> {
+    /// Strict liveness check for heartbeat/poll: current, not lost.
+    /// Refreshes `last_seen` on success.
+    fn validate(&self, inner: &mut FleetInner, worker: u64) -> Result<(), FleetError> {
         let Some(w) = inner.workers.get_mut(&worker) else {
-            return Err(FleetError::Unknown);
+            return Err(self.absent(worker));
         };
-        if w.generation != generation || w.lost {
+        if w.lost {
             self.events.stale_rejections.fetch_add(1, Ordering::Relaxed);
             return Err(FleetError::Stale);
         }
         w.last_seen = Instant::now();
         Ok(())
+    }
+
+    /// The refusal for an id the registry does not hold. Ids are minted
+    /// in order, so one at or below the last minted was retired by a
+    /// later registration of its name ([`FleetError::Stale`], counted);
+    /// any other is [`FleetError::Unknown`].
+    fn absent(&self, worker: u64) -> FleetError {
+        if worker <= self.next_worker.load(Ordering::Relaxed) {
+            self.events.stale_rejections.fetch_add(1, Ordering::Relaxed);
+            FleetError::Stale
+        } else {
+            FleetError::Unknown
+        }
     }
 
     /// Decodes a harvested assignment's document and re-anchors the
@@ -910,17 +902,12 @@ def test_scale():
         stop: impl Fn() -> bool,
     ) {
         while !stop() {
-            match fleet.poll(reg.worker, reg.generation) {
+            match fleet.poll(reg.worker) {
                 Ok(Some(lease)) => {
                     if obey(&CampaignSpec::decode(&lease.plan).unwrap()) {
                         let doc = execute(&lease.plan);
                         fleet
-                            .complete(
-                                reg.worker,
-                                reg.generation,
-                                lease.assignment,
-                                Ok((doc, vec![])),
-                            )
+                            .complete(reg.worker, lease.assignment, Ok((doc, vec![])))
                             .unwrap();
                     }
                 }
@@ -1021,7 +1008,7 @@ def test_scale():
         std::thread::scope(|scope| {
             let poll = scope.spawn(|| {
                 let started = Instant::now();
-                let lease = fleet.poll(reg.worker, reg.generation).unwrap();
+                let lease = fleet.poll(reg.worker).unwrap();
                 (lease, started.elapsed())
             });
             std::thread::sleep(Duration::from_millis(50));
@@ -1037,7 +1024,7 @@ def test_scale():
         std::thread::scope(|scope| {
             let poll = scope.spawn(|| {
                 let started = Instant::now();
-                (fleet.poll(reg.worker, reg.generation), started.elapsed())
+                (fleet.poll(reg.worker), started.elapsed())
             });
             std::thread::sleep(Duration::from_millis(50));
             fleet.stop();
@@ -1053,7 +1040,7 @@ def test_scale():
         let fleet = fleet(Duration::from_millis(60), 2);
         let reg = fleet.register("w1", fingerprint()).unwrap();
         seed_one(&fleet, &spec, &all);
-        let lease = fleet.poll(reg.worker, reg.generation).unwrap().unwrap();
+        let lease = fleet.poll(reg.worker).unwrap().unwrap();
         assert_eq!(lease.assignment, 1);
         // The worker goes silent past the heartbeat timeout.
         std::thread::sleep(Duration::from_millis(120));
@@ -1067,21 +1054,11 @@ def test_scale():
         assert_eq!(fleet.events.workers_lost.load(Ordering::Relaxed), 1);
         assert_eq!(fleet.events.requeued.load(Ordering::Relaxed), 1);
         // The lost worker is fenced until it re-registers.
-        assert_eq!(
-            fleet.heartbeat(reg.worker, reg.generation),
-            Err(FleetError::Stale)
-        );
-        assert_eq!(
-            fleet.poll(reg.worker, reg.generation),
-            Err(FleetError::Stale)
-        );
+        assert_eq!(fleet.heartbeat(reg.worker), Err(FleetError::Stale));
+        assert_eq!(fleet.poll(reg.worker), Err(FleetError::Stale));
         let rejoined = fleet.register("w1", fingerprint()).unwrap();
-        assert_eq!(rejoined.worker, reg.worker, "same name keeps its id");
-        assert_eq!(rejoined.generation, reg.generation + 1);
-        assert!(fleet
-            .poll(rejoined.worker, rejoined.generation)
-            .unwrap()
-            .is_some());
+        assert_ne!(rejoined.worker, reg.worker, "a rejoin gets a fresh id");
+        assert!(fleet.poll(rejoined.worker).unwrap().is_some());
     }
 
     #[test]
@@ -1098,13 +1075,13 @@ def test_scale():
         };
         let reg = fleet.register("local-0", fingerprint()).unwrap();
         seed_one(&fleet, &spec, &all);
-        fleet.poll(reg.worker, reg.generation).unwrap().unwrap();
+        fleet.poll(reg.worker).unwrap().unwrap();
         assert!(!fleet.is_lost("local-0"));
         // Heartbeats keep coming — the worker is alive but hung on its
         // lease — so only the assignment timeout can catch it.
         let deadline = Instant::now() + Duration::from_millis(100);
         while Instant::now() < deadline {
-            let _ = fleet.heartbeat(reg.worker, reg.generation);
+            let _ = fleet.heartbeat(reg.worker);
             std::thread::sleep(Duration::from_millis(5));
         }
         assert!(fleet.is_lost("local-0"), "the hung worker is lost");
@@ -1120,7 +1097,7 @@ def test_scale():
         let fleet = fleet(Duration::from_secs(30), 2);
         let reg = fleet.register("local-0", fingerprint()).unwrap();
         seed_one(&fleet, &spec, &all);
-        fleet.poll(reg.worker, reg.generation).unwrap().unwrap();
+        fleet.poll(reg.worker).unwrap().unwrap();
         fleet.lose("local-0");
         fleet.lose("never-registered");
         assert!(fleet.is_lost("local-0"));
@@ -1135,22 +1112,21 @@ def test_scale():
         let fleet = fleet(Duration::from_millis(60), 2);
         let w1 = fleet.register("w1", fingerprint()).unwrap();
         seed_one(&fleet, &spec, &all);
-        let lease = fleet.poll(w1.worker, w1.generation).unwrap().unwrap();
+        let lease = fleet.poll(w1.worker).unwrap().unwrap();
         std::thread::sleep(Duration::from_millis(120));
         let w2 = fleet.register("w2", fingerprint()).unwrap();
-        let release = fleet.poll(w2.worker, w2.generation).unwrap().unwrap();
+        let release = fleet.poll(w2.worker).unwrap().unwrap();
         assert_eq!(release.assignment, lease.assignment);
         let doc = execute(&release.plan);
         assert_eq!(
-            fleet.complete(w2.worker, w2.generation, 1, Ok((doc.clone(), Vec::new()))),
+            fleet.complete(w2.worker, 1, Ok((doc.clone(), Vec::new()))),
             Ok(Completion::Accepted)
         );
-        // w1 (lost, but still the current generation) delivers late,
-        // with different bytes: discarded, counted, first bytes kept.
+        // w1 (lost, but not retired) delivers late, with different
+        // bytes: discarded, counted, first bytes kept.
         assert_eq!(
             fleet.complete(
                 w1.worker,
-                w1.generation,
                 1,
                 Ok(("garbage-late-result".to_string(), Vec::new()))
             ),
@@ -1163,36 +1139,31 @@ def test_scale():
     }
 
     #[test]
-    fn stale_generation_is_rejected_after_rejoin() {
+    fn a_rejoin_retires_the_previous_id() {
         let (spec, all) = fixture();
         let fleet = fleet(Duration::from_secs(5), 2);
         let old = fleet.register("w", fingerprint()).unwrap();
         seed_one(&fleet, &spec, &all);
-        let lease = fleet.poll(old.worker, old.generation).unwrap().unwrap();
+        let lease = fleet.poll(old.worker).unwrap().unwrap();
         // The worker restarts and re-registers under the same name:
-        // its old lease requeues and its old generation is fenced.
+        // its old lease requeues and its old id is retired.
         let new = fleet.register("w", fingerprint()).unwrap();
-        assert_eq!(new.generation, old.generation + 1);
-        assert_eq!(
-            fleet.heartbeat(old.worker, old.generation),
-            Err(FleetError::Stale)
-        );
-        assert_eq!(
-            fleet.poll(old.worker, old.generation),
-            Err(FleetError::Stale)
-        );
+        assert_ne!(new.worker, old.worker);
+        assert_eq!(fleet.lock().assignments[&1].state, AssignState::Pending);
+        assert_eq!(fleet.heartbeat(old.worker), Err(FleetError::Stale));
+        assert_eq!(fleet.poll(old.worker), Err(FleetError::Stale));
         assert_eq!(
             fleet.complete(
                 old.worker,
-                old.generation,
                 lease.assignment,
                 Ok(("zombie".to_string(), Vec::new()))
             ),
             Err(FleetError::Stale)
         );
         assert!(fleet.events.stale_rejections.load(Ordering::Relaxed) >= 3);
-        // The new generation picks the requeued lease back up.
-        let release = fleet.poll(new.worker, new.generation).unwrap().unwrap();
+        assert_eq!(fleet.live_workers(), 1, "a retired id is not live");
+        // The new id picks the requeued lease back up.
+        let release = fleet.poll(new.worker).unwrap().unwrap();
         assert_eq!(release.assignment, lease.assignment);
     }
 
@@ -1205,7 +1176,7 @@ def test_scale():
             let dispatch = scope.spawn(|| fleet.dispatch(1, &spec, &all));
             // Take a lease and drop it, as `nfi worker` does when its
             // result POST fails, then serve the pool obediently.
-            while fleet.poll(reg.worker, reg.generation).unwrap().is_none() {}
+            while fleet.poll(reg.worker).unwrap().is_none() {}
             play_worker(&fleet, reg, |_| true, || dispatch.is_finished());
             dispatch.join().unwrap()
         });

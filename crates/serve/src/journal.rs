@@ -51,8 +51,7 @@
 //! last compaction, so a long-running daemon's journal stays
 //! proportional to its retained job table, not its lifetime.
 
-use crate::jobs::{Job, JobStatus, RETAINED_FINISHED_JOBS};
-use crate::queue::Priority;
+use crate::jobs::{Job, JobStatus, Priority, RETAINED_FINISHED_JOBS};
 use nfi_sfi::jsontext::{
     escape, get_opt_str, get_opt_u64, get_str, get_u64, get_usize, parse_flat_object, JsonValue,
 };

@@ -12,7 +12,7 @@
 //!                 │                                   ▲
 //!   ┌─────────────▼───────────────────────────────────┴──┐
 //!   │ accept loop → conn cap → rate limit → auth → router│
-//!   │   [`jobs::JobTable`] [`queue::JobQueue`] journal   │
+//!   │   [`jobs::JobTable`] (jobs + their queue) journal  │
 //!   └───────┬───────────────┬────────────────────┬───────┘
 //!      lane 0           lane 1      ...      lane n-1
 //!         │ per-(program, machine-fp) segment locks
@@ -61,8 +61,8 @@
 //!
 //! Module map: [`http`] (bounded request/response codec), [`router`]
 //! (API handlers), [`auth`] (bearer tokens + tenancy), [`limit`]
-//! (token-bucket rate limiter), [`jobs`] (job table), [`queue`]
-//! (tenant-fair priority queue), [`journal`] (crash-safe job journal),
+//! (token-bucket rate limiter), [`jobs`] (job table and its
+//! tenant-fair priority queue), [`journal`] (crash-safe job journal),
 //! [`fleet`] (worker registry + assignment pool), [`local`] (the
 //! supervised local workers), [`metrics`] (the one table behind
 //! `/v1/metrics` and `/metrics`), [`client`] (test and worker client).
@@ -76,17 +76,15 @@ pub mod journal;
 pub mod limit;
 pub mod local;
 pub mod metrics;
-pub mod queue;
 pub mod router;
 
 use fleet::Fleet;
-use jobs::{JobStatus, JobTable, StartOutcome};
+use jobs::{JobTable, Priority, StartOutcome};
 use journal::{Journal, JournalOutcome};
 use limit::{Admission, RateLimiter};
 use nfi_core::{IncrementalRun, Orchestrator};
 use nfi_sfi::CampaignSpec;
 use nfi_telemetry::{families, log::log, trace, Level, Span, SpanRecord, Trace, TraceId};
-use queue::{JobQueue, Priority, PushOutcome};
 use std::collections::HashMap;
 use std::io::{BufReader, Read};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -216,10 +214,8 @@ struct Recovered {
 pub struct ServerState {
     /// Daemon configuration.
     pub config: ServeConfig,
-    /// The job table.
+    /// The job table, queue included.
     pub jobs: JobTable,
-    /// The job queue.
-    pub queue: JobQueue,
     /// The orchestrator every lane runs through — shared so its
     /// in-process segment-lock table covers all lanes.
     pub orch: Orchestrator,
@@ -250,7 +246,7 @@ pub struct ServerState {
 
 impl ServerState {
     /// Accepts a planned spec for a tenant: admission checks, table
-    /// entry, journal record, queue push. The journal append happens
+    /// entry, journal record, a place in line. The journal append happens
     /// *before* the id is returned — an acknowledged job is always
     /// recoverable after a crash. Sheds (`429`/`503` + `Retry-After`)
     /// happen *before* the journal append — a rejected burst costs no
@@ -278,7 +274,7 @@ impl ServerState {
         deadline_ms: Option<u64>,
     ) -> Result<u64, http::Response> {
         let cfg = &self.config;
-        if cfg.max_queue > 0 && self.queue.depth() >= cfg.max_queue {
+        if cfg.max_queue > 0 && self.jobs.depth() >= cfg.max_queue {
             self.counters.queue_shed.fetch_add(1, Ordering::Relaxed);
             return Err(http::Response::shed(
                 503,
@@ -323,7 +319,8 @@ impl ServerState {
             let (id, spec) = self.jobs.submit_for(spec, tenant, priority, deadline_ms);
             self.counters.submitted.fetch_add(1, Ordering::Relaxed);
             if let Err(e) = journal.record_accepted(id, &spec, tenant, priority, deadline_ms) {
-                self.jobs.fail(id, format!("not accepted: {e}"));
+                self.jobs
+                    .finish(id, &JournalOutcome::Failed(format!("not accepted: {e}")));
                 self.counters.failed.fetch_add(1, Ordering::Relaxed);
                 return Err(http::Response::error(
                     500,
@@ -332,26 +329,22 @@ impl ServerState {
             }
             id
         };
-        match self.queue.push_for(tenant, priority, id) {
-            PushOutcome::Queued => {
-                log(
-                    Level::Info,
-                    "job_accepted",
-                    &[
-                        ("id", &id.to_string()),
-                        ("tenant", tenant),
-                        ("priority", priority.key()),
-                    ],
-                );
-                Ok(id)
-            }
-            PushOutcome::Shutdown => {
-                let message = "daemon is shutting down".to_string();
-                self.finish_under_journal(id, &JournalOutcome::Failed(message.clone()));
-                self.counters.failed.fetch_add(1, Ordering::Relaxed);
-                Err(http::Response::error(503, &message))
-            }
+        if !self.jobs.enqueue(id) {
+            let message = "daemon is shutting down".to_string();
+            self.finish_under_journal(id, &JournalOutcome::Failed(message.clone()));
+            self.counters.failed.fetch_add(1, Ordering::Relaxed);
+            return Err(http::Response::error(503, &message));
         }
+        log(
+            Level::Info,
+            "job_accepted",
+            &[
+                ("id", &id.to_string()),
+                ("tenant", tenant),
+                ("priority", priority.key()),
+            ],
+        );
+        Ok(id)
     }
 
     /// Records a completed run: journal first (a poll-visible `done`
@@ -405,14 +398,7 @@ impl ServerState {
     fn finish_under_journal(&self, id: u64, outcome: &JournalOutcome) {
         let mut journal = self.journal();
         let _ = journal.record_finished(id, outcome);
-        match outcome {
-            JournalOutcome::Done {
-                replayed,
-                executed,
-                store_errors,
-            } => self.jobs.finish(id, *replayed, *executed, *store_errors),
-            JournalOutcome::Failed(message) => self.jobs.fail(id, message.clone()),
-        }
+        self.jobs.finish(id, outcome);
         // Rewrite the journal from the live table once enough records
         // have accumulated, so the file tracks the retained job table
         // instead of the daemon's lifetime.
@@ -515,10 +501,9 @@ impl Server {
             };
             RateLimiter::new(config.rate_limit, burst)
         });
-        let state = ServerState {
+        let mut state = ServerState {
             config,
             jobs: JobTable::new(),
-            queue: JobQueue::new(),
             orch,
             fleet,
             local_token,
@@ -534,41 +519,11 @@ impl Server {
             live: Mutex::new(HashMap::new()),
             next_connection: AtomicU64::new(0),
         };
-        let mut state = state;
         for job in replay.jobs {
-            let units = job.spec.units.len();
-            let (status, replayed, executed, store_errors) = match &job.outcome {
-                Some(JournalOutcome::Done {
-                    replayed,
-                    executed,
-                    store_errors,
-                }) => (JobStatus::Done, *replayed, *executed, *store_errors),
-                Some(JournalOutcome::Failed(msg)) => (JobStatus::Failed(msg.clone()), 0, 0, 0),
-                None => (JobStatus::Queued, 0, 0, 0),
-            };
-            let failed_units = if status == JobStatus::Done {
-                units.saturating_sub(replayed + executed)
-            } else {
-                0
-            };
-            let requeue = status == JobStatus::Queued;
-            state.jobs.restore(
-                job.id,
-                Arc::new(job.spec),
-                status,
-                replayed,
-                executed,
-                store_errors,
-                &job.tenant,
-                job.priority,
-                job.deadline_ms,
-                failed_units,
-            );
-            if requeue {
-                // The daemon queue is unbounded, so a recovered job can
-                // never be shed here — acknowledged work survives
-                // restart regardless of the admission bound.
-                state.queue.push_for(&job.tenant, job.priority, job.id);
+            // The line is unbounded, so a recovered job can never be
+            // shed here — acknowledged work survives restart regardless
+            // of the admission bound.
+            if state.jobs.restore(job) {
                 state.recovered.queued += 1;
             } else {
                 state.recovered.finished += 1;
@@ -726,8 +681,8 @@ impl ServeHandle {
         &self.state
     }
 
-    /// Stops the daemon: the queue takes no new jobs and drains its
-    /// accepted ones across the lanes, the accept loop exits once they
+    /// Stops the daemon: the job table takes no new jobs into its line
+    /// and drains its accepted ones across the lanes, the accept loop exits once they
     /// are done, the serving thread is joined (the local workers are
     /// killed and reaped by then), open connections are closed and
     /// their threads finish, and `serve.lock` is released — so a new
@@ -740,7 +695,7 @@ impl ServeHandle {
         let Some(thread) = self.thread.take() else {
             return;
         };
-        self.state.queue.shutdown();
+        self.state.jobs.shutdown();
         let _ = thread.join();
         // Connection threads hold the state (and so the lock file) until
         // they exit; an idle keep-alive one would wait out its read
@@ -829,18 +784,19 @@ fn acquire_daemon_lock(state_dir: &std::path::Path) -> Result<std::fs::File, Str
     }
 }
 
-/// One scheduler lane: pops job ids (tenant-fair, priority-ordered),
-/// runs each through the fleet and the incremental store, records the
-/// outcome. A job that out-waited its queue deadline fails here —
-/// journaled before it shows, counted — instead of running late. Lanes
-/// compete for the queue head; jobs on the same (program, machine-fp)
-/// segment serialize inside the orchestrator's segment lock, which is
-/// why N lanes preserve the serve-vs-offline byte-parity invariant.
+/// One scheduler lane: takes jobs from the table's line (tenant-fair,
+/// priority-ordered), runs each through the fleet and the incremental
+/// store, records the outcome. A job that out-waited its queue deadline
+/// fails here — journaled before it shows, counted — instead of running
+/// late. Lanes compete for the head of the line; jobs on the same
+/// (program, machine-fp) segment serialize inside the orchestrator's
+/// segment lock, which is why N lanes preserve the serve-vs-offline
+/// byte-parity invariant.
 fn scheduler_loop(state: &ServerState) {
-    while let Some(id) = state.queue.pop() {
-        let spec = match state.jobs.start_or_expire(id) {
-            StartOutcome::Run(spec) => spec,
-            StartOutcome::Expired(message) => {
+    while let Some(start) = state.jobs.next() {
+        let job = match start {
+            StartOutcome::Run(job) => job,
+            StartOutcome::Expired(id, message) => {
                 state
                     .counters
                     .deadline_expiries
@@ -848,39 +804,36 @@ fn scheduler_loop(state: &ServerState) {
                 state.record_failed(id, message);
                 continue;
             }
-            StartOutcome::Gone => continue,
         };
         let c = &state.counters;
         c.running.fetch_add(1, Ordering::Relaxed);
         // Observe the job's queue residency and make its trace current
         // for this lane, so the orchestrator's phase spans (and the
         // workers' echoed spans) land in the job's tree.
-        let _ctx = state.jobs.get(id).map(|job| {
-            let wait_us = job
-                .accepted_at
-                .elapsed()
-                .as_micros()
-                .min(u128::from(u64::MAX)) as u64;
-            nfi_telemetry::registry()
-                .histogram(families::QUEUE_WAIT, &[])
-                .record_micros(wait_us);
-            let trace = Arc::clone(&job.trace);
-            trace.record(SpanRecord {
-                id: trace.alloc_span(),
-                parent: 0,
-                name: "queue_wait".into(),
-                start_us: trace.elapsed_us().saturating_sub(wait_us),
-                dur_us: wait_us,
-            });
-            trace::push_context(trace, 0)
+        let wait_us = job
+            .accepted_at
+            .elapsed()
+            .as_micros()
+            .min(u128::from(u64::MAX)) as u64;
+        nfi_telemetry::registry()
+            .histogram(families::QUEUE_WAIT, &[])
+            .record_micros(wait_us);
+        let trace = Arc::clone(&job.trace);
+        trace.record(SpanRecord {
+            id: trace.alloc_span(),
+            parent: 0,
+            name: "queue_wait".into(),
+            start_us: trace.elapsed_us().saturating_sub(wait_us),
+            dur_us: wait_us,
         });
+        let _ctx = trace::push_context(trace, 0);
         let run_span = Span::enter("run");
-        let run = state.orch.run_spec_with(&spec, |spec, missing| {
-            Ok(state.fleet.dispatch(id, spec, missing))
+        let run = state.orch.run_spec_with(&job.spec, |spec, missing| {
+            Ok(state.fleet.dispatch(job.id, spec, missing))
         });
         match run {
-            Ok(run) => state.record_done(id, &run),
-            Err(message) => state.record_failed(id, message),
+            Ok(run) => state.record_done(job.id, &run),
+            Err(message) => state.record_failed(job.id, message),
         }
         drop(run_span);
         c.running.fetch_sub(1, Ordering::Relaxed);

@@ -64,7 +64,7 @@ pub const METRICS: &[Metric] = &[
         prom: ("nfi_queue_depth", None),
         kind: Kind::Gauge,
         help: "Jobs waiting in the queue.",
-        get: |s| s.queue.depth() as u64,
+        get: |s| s.jobs.depth() as u64,
     },
     Metric {
         json: ("queue", "lanes"),
@@ -398,8 +398,8 @@ pub fn render_prometheus(state: &ServerState, histograms: &[SeriesSnapshot]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::Priority;
     use crate::journal::JournalOutcome;
-    use crate::queue::Priority;
     use crate::{Recovered, ServeConfig, Server};
     use std::collections::BTreeSet;
     use std::sync::Arc;
@@ -435,8 +435,11 @@ mod tests {
         for _ in 0..6 {
             journal.compact(&[]).unwrap();
         }
-        for id in 0..3 {
-            s.queue.push_for("", Priority::Normal, id);
+        let source = "def f():\n    return 1\ndef test_f():\n    assert f() == 1\n";
+        for _ in 0..3 {
+            let spec = nfi_core::plan_campaign("demo", source, 7).unwrap();
+            let (id, _) = s.jobs.submit_for(spec, "", Priority::Normal, None);
+            assert!(s.jobs.enqueue(id));
         }
         for name in ["w1", "w2", "w3", "w4"] {
             s.fleet

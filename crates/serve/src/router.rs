@@ -34,8 +34,7 @@
 
 use crate::fleet::{Completion, FleetError};
 use crate::http::{Request, Response};
-use crate::jobs::JobStatus;
-use crate::queue::Priority;
+use crate::jobs::{JobStatus, Priority};
 use crate::ServerState;
 use nfi_sfi::jsontext::{
     escape, get_hex_u64, get_opt_str, get_opt_u64, get_str, get_u64, parse_flat_object,
@@ -314,8 +313,8 @@ fn worker_route(state: &ServerState, req: &Request, rest: &str) -> Response {
         return Response::error(400, &format!("worker id `{id_text}` is not a number"));
     };
     match action {
-        "heartbeat" => worker_heartbeat(state, worker, &req.body),
-        "poll" => worker_poll(state, worker, &req.body),
+        "heartbeat" => worker_heartbeat(state, worker),
+        "poll" => worker_poll(state, worker),
         "result" => worker_result(state, worker, &req.body),
         other => Response::error(404, &format!("no route for worker sub-resource `{other}`")),
     }
@@ -323,7 +322,7 @@ fn worker_route(state: &ServerState, req: &Request, rest: &str) -> Response {
 
 /// Maps a fleet refusal to its response: unknown ids are `404` (the
 /// worker should re-register — a restarted daemon has an empty
-/// registry), staleness and capability mismatches are `409`.
+/// registry), retired or lost ids and capability mismatches are `409`.
 fn fleet_refusal(error: &FleetError) -> Response {
     match error {
         FleetError::Unknown => Response::error(404, &error.to_string()),
@@ -335,7 +334,8 @@ fn fleet_refusal(error: &FleetError) -> Response {
 /// `{"kind":"worker_register","name":...,"fingerprint":"<16 hex>"}`.
 /// The fingerprint must match the scheduler's machine configuration —
 /// the precondition for remote shard documents merging byte-identically
-/// — or the registration is refused with `409`.
+/// — or the registration is refused with `409`. Every registration gets
+/// a fresh worker id and retires the id the name held before.
 fn worker_register(state: &ServerState, body: &[u8]) -> Response {
     let Ok(text) = std::str::from_utf8(body) else {
         return Response::error(400, "body is not valid UTF-8");
@@ -353,45 +353,29 @@ fn worker_register(state: &ServerState, body: &[u8]) -> Response {
         Ok(reg) => Response::json(
             200,
             format!(
-                "{{\"worker\":{},\"generation\":{},\"heartbeat_ms\":{}}}",
-                reg.worker, reg.generation, reg.heartbeat_ms
+                "{{\"worker\":{},\"heartbeat_ms\":{}}}",
+                reg.worker, reg.heartbeat_ms
             ),
         ),
         Err(e) => fleet_refusal(&e),
     }
 }
 
-/// Decodes the `{"generation":n}` body every per-worker endpoint
-/// carries.
-fn parse_generation(body: &[u8]) -> Result<u64, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not valid UTF-8".to_string())?;
-    let fields = parse_flat_object(text.trim())?;
-    get_u64(&fields, "generation")
-}
-
-/// `POST /v1/workers/:id/heartbeat`: body `{"generation":n}`.
-fn worker_heartbeat(state: &ServerState, worker: u64, body: &[u8]) -> Response {
-    let generation = match parse_generation(body) {
-        Ok(g) => g,
-        Err(e) => return Response::error(400, &format!("heartbeat body: {e}")),
-    };
-    match state.fleet.heartbeat(worker, generation) {
+/// `POST /v1/workers/:id/heartbeat` (the body is ignored).
+fn worker_heartbeat(state: &ServerState, worker: u64) -> Response {
+    match state.fleet.heartbeat(worker) {
         Ok(()) => Response::json(200, "{\"status\":\"ok\"}".to_string()),
         Err(e) => fleet_refusal(&e),
     }
 }
 
-/// `POST /v1/workers/:id/poll`: body `{"generation":n}`. Long-polls
+/// `POST /v1/workers/:id/poll` (the body is ignored). Long-polls
 /// ([`crate::fleet::Fleet::poll`]): answers `{"assignment":null}` when
 /// the pool stays empty for the wait, else the assignment id, its
 /// encoded subset plan, and the job trace context the worker's spans
 /// should re-anchor under.
-fn worker_poll(state: &ServerState, worker: u64, body: &[u8]) -> Response {
-    let generation = match parse_generation(body) {
-        Ok(g) => g,
-        Err(e) => return Response::error(400, &format!("poll body: {e}")),
-    };
-    match state.fleet.poll(worker, generation) {
+fn worker_poll(state: &ServerState, worker: u64) -> Response {
+    match state.fleet.poll(worker) {
         Ok(None) => Response::json(200, "{\"assignment\":null}".to_string()),
         Ok(Some(lease)) => Response::json(
             200,
@@ -411,7 +395,7 @@ fn worker_poll(state: &ServerState, worker: u64, body: &[u8]) -> Response {
 }
 
 /// `POST /v1/workers/:id/result`: a JSONL body — header line
-/// `{"kind":"worker_result","assignment":n,"generation":n[,"error":...]}`,
+/// `{"kind":"worker_result","assignment":n[,"error":...]}`,
 /// then the worker's `NFI-SPAN ` trace lines, then the shard document.
 /// Answers `{"status":"accepted"}` or, for a late duplicate after a
 /// requeue, `{"status":"duplicate"}` (the first result's bytes win).
@@ -427,11 +411,10 @@ fn worker_result(state: &ServerState, worker: u64, body: &[u8]) -> Response {
     };
     let parsed = (|| {
         let assignment = get_u64(&header, "assignment")?;
-        let generation = get_u64(&header, "generation")?;
         let error = get_opt_str(&header, "error")?;
-        Ok::<_, String>((assignment, generation, error))
+        Ok::<_, String>((assignment, error))
     })();
-    let (assignment, generation, error) = match parsed {
+    let (assignment, error) = match parsed {
         Ok(parts) => parts,
         Err(e) => return Response::error(400, &format!("worker_result header: {e}")),
     };
@@ -451,10 +434,7 @@ fn worker_result(state: &ServerState, worker: u64, body: &[u8]) -> Response {
             Ok((doc, spans))
         }
     };
-    match state
-        .fleet
-        .complete(worker, generation, assignment, outcome)
-    {
+    match state.fleet.complete(worker, assignment, outcome) {
         Ok(Completion::Accepted) => Response::json(200, "{\"status\":\"accepted\"}".to_string()),
         Ok(Completion::Duplicate) => Response::json(200, "{\"status\":\"duplicate\"}".to_string()),
         Err(e) => fleet_refusal(&e),

@@ -97,12 +97,6 @@ impl Shard {
     }
 }
 
-impl Default for Shard {
-    fn default() -> Self {
-        Shard::FULL
-    }
-}
-
 impl fmt::Display for Shard {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}/{}", self.index, self.count)

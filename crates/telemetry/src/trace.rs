@@ -297,7 +297,7 @@ thread_local! {
 /// on the dispatching thread via [`current_context`].
 pub fn push_context(trace: Arc<Trace>, parent: u64) -> ContextGuard {
     CONTEXT.with(|c| c.borrow_mut().push((trace, parent)));
-    ContextGuard { popped: false }
+    ContextGuard(())
 }
 
 /// The current (trace, innermost span id) of this thread, if any.
@@ -307,17 +307,13 @@ pub fn current_context() -> Option<(Arc<Trace>, u64)> {
 
 /// Pops its context entry on drop.
 #[derive(Debug)]
-pub struct ContextGuard {
-    popped: bool,
-}
+pub struct ContextGuard(());
 
 impl Drop for ContextGuard {
     fn drop(&mut self) {
-        if !self.popped {
-            CONTEXT.with(|c| {
-                c.borrow_mut().pop();
-            });
-        }
+        CONTEXT.with(|c| {
+            c.borrow_mut().pop();
+        });
     }
 }
 

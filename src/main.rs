@@ -73,7 +73,9 @@ fn main() -> ExitCode {
     }
 }
 
-/// Splits `args` into positional arguments and `--flag [value]` options.
+/// Splits `args` into positional arguments and `--flag [value]`
+/// options. A switch ([`is_switch`]) never takes a value, so the
+/// argument after it stays positional; a switch maps to `"true"`.
 fn parse_flags(args: &[String]) -> (Vec<&str>, HashMap<&str, &str>) {
     let mut positional = Vec::new();
     let mut flags = HashMap::new();
@@ -84,7 +86,7 @@ fn parse_flags(args: &[String]) -> (Vec<&str>, HashMap<&str, &str>) {
             let value = args
                 .get(i + 1)
                 .map(String::as_str)
-                .filter(|v| !v.starts_with("--"));
+                .filter(|v| !is_switch(name) && !v.starts_with("--"));
             match value {
                 Some(v) => {
                     flags.insert(name, v);
@@ -115,36 +117,60 @@ fn load_source(flags: &HashMap<&str, &str>) -> Result<String, String> {
     }
 }
 
-/// The flags each command takes, space-separated. Any other `--flag`
-/// is refused up front, so a typo or a retired flag never runs silently
-/// ignored; `None` (an unknown command or subcommand) leaves the error
-/// to the command itself.
-fn accepted_flags(command: &str, sub: Option<&str>) -> Option<&'static str> {
-    Some(match (command, sub) {
-        ("corpus", _) => "",
-        ("run", _) => "program file",
-        ("inject", _) => "program file describe",
-        ("session", _) => "program file describe profile rounds",
-        ("dataset", _) => "cap seed incidents out",
-        ("explore", _) => "program file describe seeds",
-        ("campaign", Some("plan")) => "program file as seed out",
-        ("campaign", Some("exec")) => "plan shard threads out",
-        ("campaign", Some("merge")) => "out",
-        ("campaign", Some("run")) => {
-            "state-dir threads seed as no-anchor-reuse out-dir trace program file"
-        }
-        ("serve", _) => {
-            "state-dir addr port workers lanes seed auth-token-file rate-limit rate-burst \
-             max-connections max-queue tenant-max-queued tenant-max-programs deadline-ms \
-             request-timeout-ms heartbeat-timeout-ms assignment-requeues \
-             assignment-timeout-ms log-level"
-        }
-        ("worker", _) => "addr port token token-file name threads",
-        ("store", Some("gc")) => "state-dir dry-run corpus program file",
-        ("store", Some("inspect")) => "state-dir program json",
-        ("experiments", _) => "quick threads",
-        _ => return None,
-    })
+/// The flags each command takes: `(command, subcommand, flags that
+/// take a value, switches)`, space-separated; a `None` subcommand
+/// matches any. Any other `--flag` is refused up front, so a typo or a
+/// retired flag never runs silently ignored; an unknown command or
+/// subcommand leaves the error to the command itself.
+const ACCEPTED_FLAGS: &[(&str, Option<&str>, &str, &str)] = &[
+    ("corpus", None, "", ""),
+    ("run", None, "program file", ""),
+    ("inject", None, "program file describe", ""),
+    ("session", None, "program file describe profile rounds", ""),
+    ("dataset", None, "cap seed out", "incidents"),
+    ("explore", None, "program file describe seeds", ""),
+    ("campaign", Some("plan"), "program file as seed out", ""),
+    ("campaign", Some("exec"), "plan shard threads out", ""),
+    ("campaign", Some("merge"), "out", ""),
+    (
+        "campaign",
+        Some("run"),
+        "state-dir threads seed as out-dir program file",
+        "no-anchor-reuse trace",
+    ),
+    (
+        "serve",
+        None,
+        "state-dir addr port workers lanes seed auth-token-file rate-limit rate-burst \
+         max-connections max-queue tenant-max-queued tenant-max-programs deadline-ms \
+         request-timeout-ms heartbeat-timeout-ms assignment-requeues \
+         assignment-timeout-ms log-level",
+        "",
+    ),
+    (
+        "worker",
+        None,
+        "addr port token token-file name threads",
+        "",
+    ),
+    (
+        "store",
+        Some("gc"),
+        "state-dir program file",
+        "dry-run corpus",
+    ),
+    ("store", Some("inspect"), "state-dir program", "json"),
+    ("experiments", None, "threads", "quick"),
+];
+
+/// Whether `flag` is `help` or a switch of any command. No flag is a
+/// switch for one command and takes a value for another, so the parser
+/// needs no command to tell them apart.
+fn is_switch(flag: &str) -> bool {
+    flag == "help"
+        || ACCEPTED_FLAGS
+            .iter()
+            .any(|(.., switches)| switches.split_whitespace().any(|s| s == flag))
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -158,11 +184,19 @@ fn run(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let sub = positional.first().copied();
-    if let Some(accepted) = accepted_flags(command, sub) {
+    let accepted = ACCEPTED_FLAGS
+        .iter()
+        .find(|(c, s, ..)| c == command && s.is_none_or(|s| Some(s) == sub));
+    if let Some((_, _, values, switches)) = accepted {
         let unknown = rest
             .iter()
             .filter_map(|a| a.strip_prefix("--"))
-            .find(|flag| !accepted.split_whitespace().any(|a| a == *flag));
+            .find(|flag| {
+                !values
+                    .split_whitespace()
+                    .chain(switches.split_whitespace())
+                    .any(|a| a == *flag)
+            });
         if let Some(flag) = unknown {
             let name = match (command.as_str(), sub) {
                 ("campaign" | "store", Some(sub)) => format!("{command} {sub}"),
@@ -897,7 +931,6 @@ fn worker_token(flags: &HashMap<&str, &str>) -> Result<Option<String>, String> {
 /// requeue the assignment instead of waiting out the lease.
 fn execute_assignment(
     assignment: u64,
-    generation: u64,
     plan: &str,
     context: Option<&str>,
     config: nfi_core::exec::ExecConfig,
@@ -934,11 +967,9 @@ fn execute_assignment(
             })
         });
     match outcome {
-        Ok(tail) => format!(
-            "{{\"kind\":\"worker_result\",\"assignment\":{assignment},\"generation\":{generation}}}\n{tail}"
-        ),
+        Ok(tail) => format!("{{\"kind\":\"worker_result\",\"assignment\":{assignment}}}\n{tail}"),
         Err(e) => format!(
-            "{{\"kind\":\"worker_result\",\"assignment\":{assignment},\"generation\":{generation},\"error\":\"{}\"}}\n",
+            "{{\"kind\":\"worker_result\",\"assignment\":{assignment},\"error\":\"{}\"}}\n",
             nfi_sfi::jsontext::escape(&e)
         ),
     }
@@ -1021,7 +1052,7 @@ fn cmd_worker(flags: &HashMap<&str, &str>) -> Result<(), String> {
     loop {
         // Register (and re-register after every staleness signal: a
         // restarted daemon answers 404, a name takeover answers 409 on
-        // the old generation — both resolve to a fresh registration).
+        // the retired id — both resolve to a fresh registration).
         let body = format!(
             "{{\"kind\":\"worker_register\",\"name\":\"{}\",\"fingerprint\":\"{fingerprint:016x}\"}}",
             escape(name)
@@ -1046,26 +1077,20 @@ fn cmd_worker(flags: &HashMap<&str, &str>) -> Result<(), String> {
         let parsed = parse_flat_object(text.trim()).and_then(|fields| {
             Ok((
                 get_u64(&fields, "worker")?,
-                get_u64(&fields, "generation")?,
                 get_u64(&fields, "heartbeat_ms")?,
             ))
         });
-        let (worker, generation, heartbeat_ms) =
-            parsed.map_err(|e| format!("registration reply: {e}"))?;
+        let (worker, heartbeat_ms) = parsed.map_err(|e| format!("registration reply: {e}"))?;
         let heartbeat = Duration::from_millis(heartbeat_ms.max(10));
-        println!(
-            "nfi worker: registered as worker {worker} (generation {generation}, \
-             heartbeat every {heartbeat_ms}ms)"
-        );
+        println!("nfi worker: registered as worker {worker} (heartbeat every {heartbeat_ms}ms)");
 
         // One registration epoch: a heartbeat thread keeps the lease
         // registry warm while the main thread polls and executes. The
-        // epoch ends when the daemon stops recognizing this
-        // (worker, generation) — then both loops wind down and the
-        // outer loop registers afresh.
+        // epoch ends when the daemon stops recognizing this worker id
+        // — then both loops wind down and the outer loop registers
+        // afresh.
         let stale = AtomicBool::new(false);
         let done = AtomicBool::new(false);
-        let gen_body = format!("{{\"generation\":{generation}}}");
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 while !done.load(Ordering::Relaxed) {
@@ -1074,7 +1099,7 @@ fn cmd_worker(flags: &HashMap<&str, &str>) -> Result<(), String> {
                         break;
                     }
                     let path = format!("/v1/workers/{worker}/heartbeat");
-                    match post(&mut beats, &path, &gen_body) {
+                    match post(&mut beats, &path, "") {
                         Ok((200, _)) => {}
                         Ok(_) => {
                             stale.store(true, Ordering::Relaxed);
@@ -1088,7 +1113,7 @@ fn cmd_worker(flags: &HashMap<&str, &str>) -> Result<(), String> {
             });
             while !stale.load(Ordering::Relaxed) {
                 let path = format!("/v1/workers/{worker}/poll");
-                let (status, text) = match post(&mut session, &path, &gen_body) {
+                let (status, text) = match post(&mut session, &path, "") {
                     Ok(reply) => reply,
                     Err(_) => {
                         std::thread::sleep(WORKER_RETRY);
@@ -1113,13 +1138,8 @@ fn cmd_worker(flags: &HashMap<&str, &str>) -> Result<(), String> {
                     // The daemon already waited for work; ask again.
                     Ok(None) => {}
                     Ok(Some((assignment, plan, context))) => {
-                        let result = execute_assignment(
-                            assignment,
-                            generation,
-                            &plan,
-                            context.as_deref(),
-                            config,
-                        );
+                        let result =
+                            execute_assignment(assignment, &plan, context.as_deref(), config);
                         let path = format!("/v1/workers/{worker}/result");
                         match post(&mut session, &path, &result) {
                             Ok((200, reply)) => println!(
@@ -1165,31 +1185,25 @@ fn cmd_store(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), Str
     match positional.first().copied() {
         Some("gc") => {
             let state_dir = flags.get("state-dir").ok_or("need --state-dir <dir>")?;
-            // The generic flag parser would silently consume a
-            // positional target that follows a valueless flag
-            // (`--corpus extra.py` swallows `extra.py`) — on a command
-            // that deletes data, refuse instead of guessing.
-            for flag in ["corpus", "dry-run"] {
-                if let Some(value) = flags.get(flag) {
-                    if *value != "true" {
-                        return Err(format!(
-                            "--{flag} takes no value, but `{value}` followed it; list \
-                             target files before the flags"
-                        ));
-                    }
-                }
-            }
             let store = CampaignStore::open(state_dir)?;
             // The live set must be named explicitly: defaulting to the
             // built-in corpus would silently delete the segments of
             // every custom-named program (serve submissions, --file
-            // runs) — destructive from a bare invocation.
+            // runs) — destructive from a bare invocation. `--corpus`
+            // with other targets is ambiguous on a command that deletes
+            // data (keep the corpus, or only the named programs?), so
+            // it is refused instead of guessed.
             let files = &positional[1..];
-            if files.is_empty()
-                && !flags.contains_key("program")
-                && !flags.contains_key("file")
-                && !flags.contains_key("corpus")
-            {
+            let named =
+                !files.is_empty() || flags.contains_key("program") || flags.contains_key("file");
+            if named && flags.contains_key("corpus") {
+                return Err(
+                    "store gc takes --corpus or named targets (positional files, \
+                     --program, --file), not both"
+                        .to_string(),
+                );
+            }
+            if !named && !flags.contains_key("corpus") {
                 return Err(
                     "store gc needs the live set named explicitly: positional files, \
                      --program <name> / --file <path>, or --corpus to keep only the \

@@ -7,8 +7,8 @@
 
 use nfi_serve::auth::AuthTokens;
 use nfi_serve::client::{request_once, request_once_as, Client, Session};
+use nfi_serve::jobs::Priority;
 use nfi_serve::jobs::RETAINED_FINISHED_JOBS;
-use nfi_serve::queue::Priority;
 use nfi_serve::{ServeConfig, Server};
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -527,7 +527,7 @@ fn restart_recovers_finished_documents_and_requeues_pending_jobs() {
         let (mut journal, replay) = Journal::open(&dir).unwrap();
         assert_eq!(replay.max_id, id);
         journal
-            .record_accepted(77, &spec2, "", nfi_serve::queue::Priority::Normal, None)
+            .record_accepted(77, &spec2, "", nfi_serve::jobs::Priority::Normal, None)
             .unwrap();
     }
 

@@ -793,3 +793,126 @@ fn store_gc_over_the_binary_prunes_only_dead_programs() {
     assert!(stdout.contains("executed=0"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Writes two small programs, `alpha.py` and `beta.py`, into `dir`.
+fn two_programs(dir: &Path) -> Vec<PathBuf> {
+    [
+        (
+            "alpha",
+            "def add(a, b):\n    return a + b\ndef test_add():\n    assert add(1, 2) == 3\n",
+        ),
+        (
+            "beta",
+            "def scale(x):\n    if x > 2:\n        return x * 3\n    return x\n\
+             def test_scale():\n    assert scale(3) == 9\n",
+        ),
+    ]
+    .into_iter()
+    .map(|(name, source)| {
+        let path = dir.join(format!("{name}.py"));
+        std::fs::write(&path, source).unwrap();
+        path
+    })
+    .collect()
+}
+
+/// Runs the binary, returning (success, stdout, stderr).
+fn nfi(args: &[&str], paths: &[&Path]) -> (bool, String, String) {
+    let output = Command::new(NFI).args(args).args(paths).output().unwrap();
+    (
+        output.status.success(),
+        String::from_utf8_lossy(&output.stdout).to_string(),
+        String::from_utf8_lossy(&output.stderr).to_string(),
+    )
+}
+
+#[test]
+fn a_switch_never_swallows_the_next_positional_argument() {
+    let dir = scratch("switches");
+    let files = two_programs(&dir);
+    let files: Vec<&Path> = files.iter().map(PathBuf::as_path).collect();
+    let state = dir.join("state");
+    for switch in ["--trace", "--no-anchor-reuse"] {
+        let args = [
+            "campaign",
+            "run",
+            "--state-dir",
+            state.to_str().unwrap(),
+            switch,
+        ];
+        let (ok, stdout, stderr) = nfi(&args, &files);
+        assert!(ok, "{switch}: {stderr}");
+        assert!(
+            stdout.contains("campaign run: 2 program(s)"),
+            "{switch} took a file as its value: {stdout}"
+        );
+    }
+    let (ok, stdout, stderr) = nfi(&["experiments", "--quick", "e4"], &[]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("E4: representativeness"), "{stdout}");
+    assert!(!stdout.contains("E1:"), "`--quick e4` ran every experiment");
+
+    // `--dry-run` keeps its file a target; `--corpus` with a file is
+    // refused rather than read as either live set.
+    let gc = ["store", "gc", "--state-dir", state.to_str().unwrap()];
+    let (ok, stdout, stderr) = nfi(&[&gc[..], &["--dry-run"]].concat(), &files[..1]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("1 live program(s)"), "{stdout}");
+    let (ok, _, stderr) = nfi(&[&gc[..], &["--corpus"]].concat(), &files[..1]);
+    assert!(!ok);
+    assert!(stderr.contains("not both"), "{stderr}");
+    assert_eq!(std::fs::read_dir(state.join("store")).unwrap().count(), 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn store_inspect_lists_segments_and_orphans_as_text_and_json() {
+    const TEXT: &str = "\
+segment <state>/store/7627619b954620a7-4e8dddab89001d33-aca85cc93906fc1c.jsonl (1840 bytes)
+  program=beta module_fp=4e8dddab89001d33 machine_fp=aca85cc93906fc1c format=2 lines=7 anchors=1
+    anchor 37819358461446d6: 7 line(s)
+segment <state>/store/8ac625bb85ed202b-35d327b93052133d-aca85cc93906fc1c.jsonl (864 bytes)
+  program=alpha module_fp=35d327b93052133d machine_fp=aca85cc93906fc1c format=2 lines=3 anchors=1
+    anchor 11ee5ccdacd2ad8f: 3 line(s)
+orphan <state>/store/stray.jsonl (14 bytes): unreadable store header
+store inspect: 3 segment(s)
+";
+    const JSON: &str = concat!(
+        r#"{"state_dir":"<state>","segments":["#,
+        r#"{"path":"<state>/store/7627619b954620a7-4e8dddab89001d33-aca85cc93906fc1c.jsonl","#,
+        r#""bytes":1840,"program":"beta","module_fp":"4e8dddab89001d33","#,
+        r#""machine_fp":"aca85cc93906fc1c","format":"2","lines":7,"#,
+        r#""anchors":[{"anchor":"37819358461446d6","lines":7}]},"#,
+        r#"{"path":"<state>/store/8ac625bb85ed202b-35d327b93052133d-aca85cc93906fc1c.jsonl","#,
+        r#""bytes":864,"program":"alpha","module_fp":"35d327b93052133d","#,
+        r#""machine_fp":"aca85cc93906fc1c","format":"2","lines":3,"#,
+        r#""anchors":[{"anchor":"11ee5ccdacd2ad8f","lines":3}]},"#,
+        r#"{"path":"<state>/store/stray.jsonl","bytes":14,"orphan":true,"#,
+        r#""note":"unreadable store header"}],"shown":3}"#,
+        "\n"
+    );
+    let dir = scratch("inspect");
+    let files = two_programs(&dir);
+    let files: Vec<&Path> = files.iter().map(PathBuf::as_path).collect();
+    let state = dir.join("state");
+    let state_arg = state.to_str().unwrap();
+    let (ok, _, stderr) = nfi(&["campaign", "run", "--state-dir", state_arg], &files);
+    assert!(ok, "{stderr}");
+    std::fs::write(state.join("store").join("stray.jsonl"), "not a segment\n").unwrap();
+    let inspect = |extra: &[&str]| {
+        let (ok, stdout, stderr) = nfi(
+            &[&["store", "inspect", "--state-dir", state_arg], extra].concat(),
+            &[],
+        );
+        assert!(ok, "{stderr}");
+        stdout.replace(state_arg, "<state>")
+    };
+    assert_eq!(inspect(&[]), TEXT);
+    assert_eq!(inspect(&["--json"]), JSON);
+    let beta: String = TEXT.lines().take(3).map(|l| format!("{l}\n")).collect();
+    assert_eq!(
+        inspect(&["--program", "beta"]),
+        format!("{beta}store inspect: 1 segment(s) for program beta\n")
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

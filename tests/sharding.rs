@@ -211,11 +211,15 @@ fn batched_nlp_equals_per_item_analysis_on_the_scenario_corpus() {
             continue;
         }
         let module = program.module().unwrap();
-        let batch = neural_fault_injection::nlp::analyze_batch(&descriptions, Some(&module));
-        assert_eq!(batch.len(), descriptions.len());
-        for (description, got) in descriptions.iter().zip(&batch) {
+        let analyzer = neural_fault_injection::nlp::Analyzer::new(Some(&module));
+        for description in descriptions {
             let want = neural_fault_injection::nlp::analyze(description, Some(&module));
-            assert_eq!(got, &want, "{}: diverged on {description:?}", program.name);
+            assert_eq!(
+                analyzer.analyze(description),
+                want,
+                "{}: diverged on {description:?}",
+                program.name
+            );
             checked += 1;
         }
     }
