@@ -9,7 +9,7 @@
 //! [`MutantCache`] memoizes [`nfi_sfi::apply_plan`] behind
 //! `Arc<InjectedFault>` keyed by **(module fingerprint, plan hash)**:
 //!
-//! * the module fingerprint ([`nfi_pylite::fingerprint`]) addresses the
+//! * the module fingerprint ([`nfi_pylite::fingerprint()`]) addresses the
 //!   *content* being mutated, so two campaigns over equal sources share
 //!   entries while a one-line edit invalidates them;
 //! * the plan hash ([`nfi_sfi::plan_hash`]) addresses the mutation

@@ -49,6 +49,6 @@ pub use pipeline::{InjectionReport, NeuralFaultInjector, PipelineConfig, Pipelin
 pub use service::{exec_spec, exec_units, merge, plan_campaign, ShardOutcome, ShardRun};
 pub use session::{run_session, SessionResult, SessionRound};
 pub use store::{
-    CampaignStore, GcReport, IncrementalRun, LoadedSegment, Orchestrator, SegmentGuard,
+    CampaignStore, GcReport, IncrementalRun, LoadedSegment, Orchestrator, Replay, SegmentGuard,
     SegmentInfo, SegmentLocks,
 };

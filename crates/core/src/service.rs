@@ -119,7 +119,7 @@ impl ShardOutcome {
     /// anchor-fallback replay primitive: a prior segment's outcome is
     /// valid for the current plan's unit, but enumeration indices
     /// shift across module versions, so the line must be re-emitted
-    /// under the unit's current index. Because [`render`] is the one
+    /// under the unit's current index. Because `render` is the one
     /// canonical encoder (executions produce lines the same way), a
     /// re-indexed replay is byte-identical to a fresh execution whose
     /// runtime outcome is unchanged.

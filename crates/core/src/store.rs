@@ -43,20 +43,23 @@
 //! replayed with their enumeration index rewritten to the new plan;
 //! the rest are **anchor misses** and execute. A one-line body edit
 //! therefore re-executes only the units whose enclosing function
-//! changed — O(diff), not O(module). Segments record a `format`
-//! version; pre-anchor segments (format 1, or no `format` field)
-//! degrade gracefully: their keys simply never match, so everything
-//! re-executes once and the re-saved segment is format 2.
+//! changed — O(diff), not O(module). Every header names its segment
+//! `format`, and only [`SEGMENT_FORMAT`] is read: any other header is
+//! a store error, so none of that segment's lines replay, its units
+//! re-execute, and the run saves the segment afresh.
 //!
-//! Replayed outcome lines are re-emitted **verbatim** (the same
-//! guarantee [`service::merge`] gives shard documents), so a warm
-//! incremental run's merged document is byte-identical to a cold one;
-//! anchor-replayed lines are re-emitted through the one canonical
-//! encoder with only the index rewritten, preserving the same
-//! guarantee. Corrupt store lines — truncation, garbling, editor
-//! accidents — are reported as warnings and the affected units fall
-//! back to re-execution; the store can never change a result, only
-//! skip recomputing it.
+//! [`Orchestrator::replay`] is the one reader of stored outcomes, and
+//! one per-unit rule inside it decides whether a stored line stands in
+//! for a unit. Lines of the module's own segment are re-emitted
+//! **verbatim** (the same guarantee [`service::merge`] gives shard
+//! documents), so a warm incremental run's merged document is
+//! byte-identical to a cold one; anchor-replayed lines are re-emitted
+//! through the one canonical encoder with only the index rewritten,
+//! preserving the same guarantee. Corrupt store lines — truncation,
+//! garbling, editor accidents, a decodable line describing another
+//! unit — are reported as warnings and the affected units fall back to
+//! re-execution; the store can never change a result, only skip
+//! recomputing it.
 //!
 //! [`Orchestrator`] is the multi-run entry point behind
 //! `nfi campaign run --state-dir`: plan, replay what the store covers,
@@ -65,7 +68,9 @@
 //! misses run in one [`service::exec_units`] call on a thread of the
 //! run's own, while the `nfi serve` daemon passes a dispatcher that hands
 //! subset specs to `nfi worker` processes — same merge, byte-identical
-//! documents.
+//! documents. The daemon's document fetch is the same replay, read-only:
+//! it dispatches only the units the segment no longer covers and saves
+//! nothing.
 //!
 //! The store has **one writer per segment at a time**: every
 //! orchestrated run serializes its load → execute → save cycle behind
@@ -77,8 +82,8 @@
 use crate::exec::ExecConfig;
 use crate::service::{self, ShardOutcome, ShardRun};
 use nfi_pylite::{fnv1a, MachineConfig};
-use nfi_sfi::jsontext::{escape, get_hex_u64, get_str, get_usize, parse_flat_object, JsonValue};
-use nfi_sfi::CampaignSpec;
+use nfi_sfi::jsontext::{escape, get_hex_u64, get_str, get_u64, get_usize, parse_flat_object};
+use nfi_sfi::{CampaignSpec, WorkUnit};
 use nfi_telemetry::{families, Span};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -98,12 +103,9 @@ pub struct CampaignStore {
     root: PathBuf,
 }
 
-/// The segment format this build writes: format 2 keys lines by
-/// structural anchor
-/// ([`WorkUnit::store_key`](nfi_sfi::WorkUnit::store_key)) and records
-/// each line's anchor. Format-1 segments (including headerless
-/// pre-versioning ones) are read but never used as an anchor-fallback
-/// source.
+/// The one segment format this build writes and reads: lines keyed by
+/// structural anchor ([`WorkUnit::store_key`]), each recording its
+/// anchor. A header naming any other format (or none) does not decode.
 pub const SEGMENT_FORMAT: u32 = 2;
 
 /// One loaded store segment: outcome lines by unit store key, plus
@@ -111,17 +113,52 @@ pub const SEGMENT_FORMAT: u32 = 2;
 /// re-execution).
 #[derive(Debug, Default)]
 pub struct LoadedSegment {
-    /// Verbatim outcome lines, keyed by
-    /// [`WorkUnit::store_key`](nfi_sfi::WorkUnit::store_key).
+    /// Verbatim outcome lines, keyed by [`WorkUnit::store_key`]. Empty
+    /// unless the header decoded and matched the requested address.
     pub lines: HashMap<u64, String>,
     /// Human-readable reports of skipped/corrupt lines.
     pub errors: Vec<String>,
-    /// Declared segment format (1 when the header predates
-    /// versioning; 0 when there is no readable header at all).
-    pub format: u32,
     /// Whether the header decoded and matched the requested address —
     /// the gate for using this segment as an anchor-fallback source.
     pub header_valid: bool,
+}
+
+/// A decoded segment header: the address it names and the number of
+/// stored lines it declares.
+struct Header {
+    program: String,
+    module_fp: u64,
+    machine_fp: u64,
+    lines: usize,
+}
+
+/// Decodes a segment's header line — the one header reader behind
+/// load, listing, inspection and pruning. Only a `campaign_store`
+/// record of [`SEGMENT_FORMAT`] decodes.
+fn decode_header(line: &str) -> Result<Header, String> {
+    let fields = parse_flat_object(line)?;
+    if get_str(&fields, "kind")? != "campaign_store" {
+        return Err("not a campaign_store header".to_string());
+    }
+    if get_u64(&fields, "format").ok() != Some(u64::from(SEGMENT_FORMAT)) {
+        return Err(format!("store header is not format {SEGMENT_FORMAT}"));
+    }
+    Ok(Header {
+        program: get_str(&fields, "program")?,
+        module_fp: get_hex_u64(&fields, "module_fp")?,
+        machine_fp: get_hex_u64(&fields, "machine_fp")?,
+        lines: get_usize(&fields, "lines")?,
+    })
+}
+
+/// The decoded header of the segment file at `path`, if it has one.
+fn read_header(path: &Path) -> Option<Header> {
+    use std::io::{BufRead, BufReader};
+    let mut line = String::new();
+    BufReader::new(std::fs::File::open(path).ok()?)
+        .read_line(&mut line)
+        .ok()?;
+    decode_header(line.trim_end_matches('\n')).ok()
 }
 
 impl CampaignStore {
@@ -149,11 +186,13 @@ impl CampaignStore {
     }
 
     /// Loads the segment for `(program, module_fp, machine_fp)`. A
-    /// missing segment is simply empty; a corrupt line (truncated,
-    /// garbled, mismatched program or fingerprints, duplicate key) is
-    /// reported in [`LoadedSegment::errors`] and skipped, so the caller
-    /// re-executes those units instead of panicking or replaying
-    /// garbage.
+    /// missing segment is simply empty. A first line that is not this
+    /// address's [`SEGMENT_FORMAT`] header (the line [`Self::segments`]
+    /// and pruning read too) leaves the segment empty
+    /// with the reason in [`LoadedSegment::errors`]; past a valid
+    /// header, a corrupt line (truncated, garbled, duplicate key) is
+    /// reported there and skipped. Either way the caller re-executes
+    /// those units instead of panicking or replaying garbage.
     pub fn load(&self, program: &str, module_fp: u64, machine_fp: u64) -> LoadedSegment {
         let path = self.segment_path(program, module_fp, machine_fp);
         let mut seg = LoadedSegment::default();
@@ -166,88 +205,69 @@ impl CampaignStore {
                 return seg;
             }
         };
-        let mut declared: Option<usize> = None;
+        let report = |i: usize, e: String| format!("{}:{}: {e}", path.display(), i + 1);
+        let mut records = text.lines().enumerate();
+        let Some((_, first)) = records.next() else {
+            seg.errors.push(format!(
+                "{}: no campaign_store header (truncated?)",
+                path.display()
+            ));
+            return seg;
+        };
+        let header = decode_header(first).and_then(|h| {
+            if h.module_fp != module_fp || h.machine_fp != machine_fp {
+                Err("store header fingerprints do not match the segment name".to_string())
+            } else if h.program != program {
+                // The file name only carries the program's
+                // *fingerprint*; the verbatim header name is the
+                // collision backstop.
+                Err(format!(
+                    "store header names program `{}`, expected `{program}` \
+                     (program fingerprint collision?)",
+                    h.program
+                ))
+            } else {
+                Ok(h.lines)
+            }
+        });
+        let declared = match header {
+            Ok(count) => count,
+            Err(e) => {
+                seg.errors.push(report(0, e));
+                return seg;
+            }
+        };
+        seg.header_valid = true;
         // Keys seen more than once are poisoned outright: conflicting
         // payloads mean neither can be trusted, and a third occurrence
         // must not sneak the key back in.
         let mut poisoned: HashSet<u64> = HashSet::new();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
+        for (i, line) in records.filter(|(_, line)| !line.trim().is_empty()) {
+            if !line.contains("\"kind\":\"stored\"") {
+                seg.errors
+                    .push(report(i, "unknown record kind".to_string()));
                 continue;
             }
-            let report = |e: String| format!("{}:{}: {e}", path.display(), i + 1);
-            if line.contains("\"kind\":\"campaign_store\"") {
-                match Self::decode_header(line, program, module_fp, machine_fp) {
-                    Ok((count, format)) => {
-                        declared = Some(count);
-                        seg.format = format;
-                        seg.header_valid = true;
+            match Self::decode_stored(line) {
+                Ok((key, outcome)) => {
+                    if poisoned.contains(&key) || seg.lines.insert(key, outcome).is_some() {
+                        seg.errors
+                            .push(report(i, format!("duplicate unit key {key:016x}")));
+                        seg.lines.remove(&key);
+                        poisoned.insert(key);
                     }
-                    Err(e) => seg.errors.push(report(e)),
                 }
-            } else if line.contains("\"kind\":\"stored\"") {
-                match Self::decode_stored(line) {
-                    Ok((key, outcome)) => {
-                        if poisoned.contains(&key) || seg.lines.insert(key, outcome).is_some() {
-                            seg.errors
-                                .push(report(format!("duplicate unit key {key:016x}")));
-                            seg.lines.remove(&key);
-                            poisoned.insert(key);
-                        }
-                    }
-                    Err(e) => seg.errors.push(report(e)),
-                }
-            } else {
-                seg.errors.push(report("unknown record kind".to_string()));
+                Err(e) => seg.errors.push(report(i, e)),
             }
         }
-        match declared {
-            Some(count) if count != seg.lines.len() => seg.errors.push(format!(
-                "{}: header declares {count} stored lines, found {} intact (truncated?)",
+        if declared != seg.lines.len() {
+            seg.errors.push(format!(
+                "{}: header declares {declared} stored lines, found {} intact (truncated?)",
                 path.display(),
                 seg.lines.len()
-            )),
-            Some(_) => {}
-            None => seg.errors.push(format!(
-                "{}: no campaign_store header (truncated?)",
-                path.display()
-            )),
-        }
-        seg
-    }
-
-    fn decode_header(
-        line: &str,
-        program: &str,
-        module_fp: u64,
-        machine_fp: u64,
-    ) -> Result<(usize, u32), String> {
-        let fields = parse_flat_object(line)?;
-        if get_hex_u64(&fields, "module_fp")? != module_fp
-            || get_hex_u64(&fields, "machine_fp")? != machine_fp
-        {
-            return Err("store header fingerprints do not match the segment name".to_string());
-        }
-        // The file name only carries the program's *fingerprint*; the
-        // verbatim header name is the collision backstop.
-        if get_str(&fields, "program")? != program {
-            return Err(format!(
-                "store header names program `{}`, expected `{program}` \
-                 (program fingerprint collision?)",
-                get_str(&fields, "program")?
             ));
         }
-        // Headers written before segment versioning carry no `format`
-        // field and read as format 1.
-        let format = match fields.get("format") {
-            Some(v) => u32::try_from(
-                v.as_u64()
-                    .ok_or_else(|| format!("field `format` is not an unsigned integer: {v:?}"))?,
-            )
-            .map_err(|_| "field `format` does not fit in u32".to_string())?,
-            None => 1,
-        };
-        Ok((get_usize(&fields, "lines")?, format))
+        seg
     }
 
     /// Decodes the (key, verbatim outcome line) of one stored record.
@@ -261,29 +281,24 @@ impl CampaignStore {
     }
 
     /// The program's *previous* segment under `machine_fp` — any intact
-    /// anchor-capable segment of the same program whose module
-    /// fingerprint differs from `current_fp`. Pruning keeps at most one
-    /// such segment per (program, machine config), so this is the
-    /// anchor-fallback source for a warm edit. Answers `None` when
-    /// there is none, when its header does not check out, or when it
-    /// predates anchor keying (format < 2 — those keys can never match
-    /// and pre-anchor replays must not be guessed at).
+    /// segment of the same program whose module fingerprint differs
+    /// from `current_fp`. Pruning keeps at most one such segment per
+    /// (program, machine config), so this is the anchor-fallback source
+    /// for a warm edit. Answers `None` when there is none or when its
+    /// header does not check out.
     pub fn previous_segment(
         &self,
         program: &str,
         current_fp: u64,
         machine_fp: u64,
-    ) -> Option<(u64, LoadedSegment)> {
+    ) -> Option<LoadedSegment> {
         self.named_segments(program, machine_fp)
             .into_iter()
             .filter(|&old_fp| old_fp != current_fp)
-            .find_map(|old_fp| {
-                let segment = self.load(program, old_fp, machine_fp);
-                // `header_valid` re-checks the verbatim program name, so a
-                // program-fingerprint collision can never donate lines.
-                (segment.header_valid && segment.format >= SEGMENT_FORMAT)
-                    .then_some((old_fp, segment))
-            })
+            .map(|old_fp| self.load(program, old_fp, machine_fp))
+            // `header_valid` re-checks the verbatim program name, so a
+            // program-fingerprint collision can never donate lines.
+            .find(|segment| segment.header_valid)
     }
 
     /// Module fingerprints of the segments *named* for `program` under
@@ -320,32 +335,24 @@ impl CampaignStore {
             .into_iter()
             .map(|info| {
                 let mut detail = SegmentDetail {
-                    format: 0,
                     lines: 0,
                     anchors: std::collections::BTreeMap::new(),
                     info,
                 };
+                if detail.info.program.is_none() {
+                    return detail;
+                }
                 let Ok(text) = std::fs::read_to_string(&detail.info.path) else {
                     return detail;
                 };
-                for line in text.lines() {
-                    if line.contains("\"kind\":\"campaign_store\"") {
-                        if let Ok(fields) = parse_flat_object(line) {
-                            detail.format = fields
-                                .get("format")
-                                .and_then(JsonValue::as_u64)
-                                .and_then(|v| u32::try_from(v).ok())
-                                .unwrap_or(1);
-                        }
-                    } else if line.contains("\"kind\":\"stored\"") {
-                        let Ok(fields) = parse_flat_object(line) else {
-                            continue;
-                        };
-                        detail.lines += 1;
-                        // Pre-anchor lines count under anchor 0.
-                        let anchor = get_hex_u64(&fields, "anchor").unwrap_or(0);
-                        *detail.anchors.entry(anchor).or_insert(0) += 1;
-                    }
+                for line in text.lines().filter(|l| l.contains("\"kind\":\"stored\"")) {
+                    let Ok(fields) = parse_flat_object(line) else {
+                        continue;
+                    };
+                    detail.lines += 1;
+                    // A line whose anchor does not decode counts under 0.
+                    let anchor = get_hex_u64(&fields, "anchor").unwrap_or(0);
+                    *detail.anchors.entry(anchor).or_insert(0) += 1;
                 }
                 detail
             })
@@ -361,8 +368,8 @@ impl CampaignStore {
     /// match again once the source changed.
     ///
     /// [`Orchestrator::run_spec_with`] skips this call when a run
-    /// replayed an intact current-format segment in full: every
-    /// outcome it would write is already on disk.
+    /// replayed an intact segment in full: every outcome it would
+    /// write is already on disk.
     ///
     /// # Errors
     ///
@@ -421,7 +428,8 @@ impl CampaignStore {
 
     /// Lists every segment in the store with its decoded header, plus
     /// files that *should* be segments but have no readable header
-    /// (crashed writes, editor accidents) as [`SegmentInfo::orphan`]s.
+    /// (crashed writes, editor accidents, a header of another format)
+    /// as orphans, whose [`SegmentInfo::note`] says why.
     pub fn segments(&self) -> Vec<SegmentInfo> {
         let Ok(entries) = std::fs::read_dir(&self.root) else {
             return Vec::new();
@@ -441,25 +449,16 @@ impl CampaignStore {
             if ext != Some("jsonl") {
                 continue;
             }
-            let header = std::fs::File::open(&path).ok().and_then(first_line);
-            let parsed = header.as_deref().map(parse_flat_object);
-            match parsed {
-                Some(Ok(fields)) => match (
-                    fields.get("program").and_then(JsonValue::as_str),
-                    get_hex_u64(&fields, "module_fp"),
-                    get_hex_u64(&fields, "machine_fp"),
-                ) {
-                    (Some(program), Ok(module_fp), Ok(machine_fp)) => out.push(SegmentInfo {
-                        path,
-                        bytes,
-                        program: Some(program.to_string()),
-                        module_fp: Some(module_fp),
-                        machine_fp: Some(machine_fp),
-                        note: None,
-                    }),
-                    _ => out.push(SegmentInfo::orphan(path, bytes, "incomplete store header")),
-                },
-                _ => out.push(SegmentInfo::orphan(path, bytes, "unreadable store header")),
+            match read_header(&path) {
+                Some(h) => out.push(SegmentInfo {
+                    path,
+                    bytes,
+                    program: Some(h.program),
+                    module_fp: Some(h.module_fp),
+                    machine_fp: Some(h.machine_fp),
+                    note: None,
+                }),
+                None => out.push(SegmentInfo::orphan(path, bytes, "unreadable store header")),
             }
         }
         out.sort_by(|a, b| a.path.cmp(&b.path));
@@ -516,22 +515,18 @@ impl CampaignStore {
     /// header names this program and machine fingerprint verbatim, so
     /// a program-fingerprint collision never removes another program's
     /// segment. Files under the older two-part naming scheme
-    /// (`{module_fp}-{machine_fp}.jsonl`) are never candidates.
-    /// Best-effort: prune failures are ignored — a stale segment is
-    /// wasted disk, not a correctness problem.
+    /// (`{module_fp}-{machine_fp}.jsonl`), and files whose header does
+    /// not decode, are never removed here; `store gc` sweeps the latter
+    /// as orphans. Best-effort: prune failures are ignored — a stale
+    /// segment is wasted disk, not a correctness problem.
     fn prune_stale(&self, program: &str, keep_fp: u64, machine_fp: u64) {
         for old_fp in self.named_segments(program, machine_fp) {
             if old_fp == keep_fp {
                 continue;
             }
             let path = self.segment_path(program, old_fp, machine_fp);
-            let header = std::fs::File::open(&path).ok().and_then(first_line);
-            let owned = header
-                .and_then(|line| parse_flat_object(&line).ok())
-                .is_some_and(|fields| {
-                    fields.get("program").and_then(JsonValue::as_str) == Some(program)
-                        && get_hex_u64(&fields, "machine_fp") == Ok(machine_fp)
-                });
+            let owned = read_header(&path)
+                .is_some_and(|h| h.program == program && h.machine_fp == machine_fp);
             if owned {
                 let _ = std::fs::remove_file(&path);
             }
@@ -670,15 +665,12 @@ impl SegmentInfo {
 /// engine of `nfi store inspect`).
 #[derive(Debug, Clone)]
 pub struct SegmentDetail {
-    /// Header identity (same record `segments()` lists).
+    /// Header identity (same record `segments()` lists). Every segment
+    /// that is not an orphan is [`SEGMENT_FORMAT`].
     pub info: SegmentInfo,
-    /// Declared segment format (1 for pre-versioning headers, 0 when
-    /// no header decoded at all).
-    pub format: u32,
     /// Intact stored lines.
     pub lines: usize,
-    /// Stored-line count per structural anchor (pre-anchor lines all
-    /// group under anchor 0).
+    /// Stored-line count per structural anchor.
     pub anchors: std::collections::BTreeMap<u64, usize>,
 }
 
@@ -700,15 +692,6 @@ impl GcReport {
     pub fn bytes_removed(&self) -> u64 {
         self.removed.iter().map(|(s, _)| s.bytes).sum()
     }
-}
-
-/// Reads the first line of an open file (header sniffing for prune).
-fn first_line(file: std::fs::File) -> Option<String> {
-    use std::io::{BufRead, BufReader};
-    let mut line = String::new();
-    BufReader::new(file).read_line(&mut line).ok()?;
-    let trimmed = line.trim_end_matches('\n');
-    (!trimmed.is_empty()).then(|| trimmed.to_string())
 }
 
 /// What one incremental program run did: how much the store replayed,
@@ -869,122 +852,15 @@ impl Orchestrator {
         // concurrent processes) on the same program serialize — the
         // second runner replays what the first one saved.
         let _guard = self.locks.acquire(&spec.program, machine_fp);
-        let replay_span = Span::enter_with("store_replay", Some(phase_hist("store_replay")));
-        let mut segment = self.store.load(&spec.program, spec.module_fp, machine_fp);
-        // A clean fingerprint miss (no segment at this address, not
-        // even a corrupt one) is the warm-edit case: look for the
-        // program's previous segment and replay by anchor-stable key.
-        let fallback = if self.anchor_reuse && segment.lines.is_empty() && segment.errors.is_empty()
-        {
-            let _anchor_span =
-                Span::enter_with("anchor_fallback", Some(phase_hist("anchor_fallback")));
-            self.store
-                .previous_segment(&spec.program, spec.module_fp, machine_fp)
-        } else {
-            None
+        let replay = {
+            let _replay_span = Span::enter_with("store_replay", Some(phase_hist("store_replay")));
+            self.replay(spec, self.anchor_reuse)
         };
-        let mut replayed = Vec::new();
-        let mut missing = HashSet::new();
-        let mut anchor_replayed = 0usize;
-        let mut anchor_missed = 0usize;
-        for unit in &spec.units {
-            if let Some((_, previous)) = &fallback {
-                // Anchor-fallback replay: the unit's key is anchor-
-                // stable, so an unchanged enclosing function resolves
-                // in the previous segment even though statement ids,
-                // lines, and the module fingerprint all shifted. Only
-                // the enumeration index is version-bound — rewrite it
-                // and re-render through the canonical encoder, which
-                // keeps the merged document byte-identical to a cold
-                // run of the edited module (the runtime outcome of an
-                // untouched function is unchanged by construction).
-                match previous.lines.get(&unit.store_key()) {
-                    Some(line) => match ShardOutcome::decode(line) {
-                        Ok(o) if o.operator == unit.operator && o.class == unit.class.key() => {
-                            anchor_replayed += 1;
-                            replayed.push(o.reindexed(unit.index));
-                        }
-                        _ => {
-                            anchor_missed += 1;
-                            missing.insert(unit.index);
-                        }
-                    },
-                    None => {
-                        anchor_missed += 1;
-                        missing.insert(unit.index);
-                    }
-                }
-                continue;
-            }
-            match segment.lines.get(&unit.store_key()) {
-                Some(line) => match ShardOutcome::decode(line) {
-                    // A replayed payload must still describe this unit
-                    // — index, operator, and class are all cheap to
-                    // cross-check, so a garbled-but-decodable payload
-                    // degrades to re-execution like any other
-                    // corruption instead of silently changing a result.
-                    Ok(o)
-                        if o.index == unit.index
-                            && o.operator == unit.operator
-                            && o.class == unit.class.key() =>
-                    {
-                        replayed.push(o)
-                    }
-                    Ok(o) => {
-                        segment.errors.push(format!(
-                            "stored outcome for unit {} describes ({}, {}, {}), expected \
-                             ({}, {}, {}); re-executing",
-                            unit.index,
-                            o.index,
-                            o.operator,
-                            o.class,
-                            unit.index,
-                            unit.operator,
-                            unit.class.key(),
-                        ));
-                        missing.insert(unit.index);
-                    }
-                    Err(e) => {
-                        segment
-                            .errors
-                            .push(format!("unit {}: {e}; re-executing", unit.index));
-                        missing.insert(unit.index);
-                    }
-                },
-                None => {
-                    missing.insert(unit.index);
-                }
-            }
-        }
-        // A full fast-path replay of an intact current-format segment:
-        // every outcome a save would write is already on disk, verbatim,
-        // and that segment's own save already pruned its stale siblings.
-        // Any miss, anchor fallback, corruption or format-1 header still
-        // saves, which is how repair and migration happen.
-        let unchanged = fallback.is_none()
-            && missing.is_empty()
-            && segment.errors.is_empty()
-            && segment.header_valid
-            && segment.format == SEGMENT_FORMAT;
-        // Corruption in the fallback segment degraded those units to
-        // re-execution; surface the reports the same way fast-path
-        // corruption is surfaced.
-        if let Some((_, previous)) = fallback {
-            segment.errors.extend(previous.errors);
-        }
-        drop(replay_span);
-        let replayed_count = replayed.len();
-        let mut runs = vec![ShardRun {
-            program: spec.program.clone(),
-            module_fp: spec.module_fp,
-            total: spec.units.len(),
-            outcomes: replayed,
-        }];
-        if !missing.is_empty() {
-            let mut indices: Vec<usize> = missing.iter().copied().collect();
-            indices.sort_unstable();
+        let replayed = replay.run.outcomes.len();
+        let mut runs = vec![replay.run];
+        if !replay.missing.is_empty() {
             let _execute_span = Span::enter_with("execute", Some(phase_hist("execute")));
-            runs.extend(dispatch(spec, &indices)?);
+            runs.extend(dispatch(spec, &replay.missing)?);
         }
         let merged = {
             let _merge_span = Span::enter_with("merge", Some(phase_hist("merge")));
@@ -992,7 +868,7 @@ impl Orchestrator {
         };
         {
             let _persist_span = Span::enter_with("persist", Some(phase_hist("persist")));
-            if !unchanged {
+            if !replay.unchanged {
                 self.store.save(spec, machine_fp, &merged)?;
             }
         }
@@ -1004,53 +880,145 @@ impl Orchestrator {
         Ok(IncrementalRun {
             program: spec.program.clone(),
             units: spec.units.len(),
-            replayed: replayed_count,
-            executed: merged.outcomes.len().saturating_sub(replayed_count),
-            anchor_replayed,
-            anchor_missed,
-            store_errors: segment.errors,
+            replayed,
+            executed: merged.outcomes.len().saturating_sub(replayed),
+            anchor_replayed: replay.anchor_replayed,
+            anchor_missed: replay.anchor_missed,
+            store_errors: replay.errors,
             run: merged,
         })
     }
 
-    /// Read-only full replay: the merged document of `spec` rebuilt
-    /// purely from the on-disk segment, or `None` unless *every* unit
-    /// replays cleanly (missing segment, missing lines, or any
-    /// corruption all answer `None` — the caller falls back to a
-    /// normal [`Self::run_spec`], which re-executes and re-saves).
+    /// What the store covers of `spec`, read-only: the one reader of
+    /// stored outcomes behind every run and every served document.
     ///
-    /// This is what lets a serving daemon stream finished documents
-    /// from the store instead of buffering them in memory: the
-    /// replayed lines are re-emitted verbatim, so the rebuilt document
-    /// is byte-identical to the one the original run produced. Takes
-    /// no segment lock — segment replacement is atomic-rename, so a
-    /// read sees a complete old or complete new segment.
-    pub fn replay_full(&self, spec: &CampaignSpec) -> Option<String> {
+    /// The spec's own segment is read first. On a clean miss (no
+    /// segment at its address, not even a corrupt one) and with
+    /// `anchors` on, the program's previous segment stands in: the
+    /// warm-edit anchor fallback. Each unit then goes through one rule,
+    /// `replay_unit`. Takes no segment lock — segment replacement is
+    /// write-then-rename, so a read sees a complete old or complete new
+    /// segment — and saves nothing.
+    pub fn replay(&self, spec: &CampaignSpec, anchors: bool) -> Replay {
         let machine_fp = self.machine.fingerprint();
-        let segment = self.store.load(&spec.program, spec.module_fp, machine_fp);
-        if !segment.errors.is_empty() {
-            return None;
-        }
-        let mut replayed = Vec::with_capacity(spec.units.len());
-        for unit in &spec.units {
-            let line = segment.lines.get(&unit.store_key())?;
-            let outcome = ShardOutcome::decode(line).ok()?;
-            if outcome.index != unit.index
-                || outcome.operator != unit.operator
-                || outcome.class != unit.class.key()
+        let mut segment = self.store.load(&spec.program, spec.module_fp, machine_fp);
+        let mut current = true;
+        if anchors && segment.lines.is_empty() && segment.errors.is_empty() {
+            let _anchor_span =
+                Span::enter_with("anchor_fallback", Some(phase_hist("anchor_fallback")));
+            if let Some(previous) =
+                self.store
+                    .previous_segment(&spec.program, spec.module_fp, machine_fp)
             {
-                return None;
+                segment = previous;
+                current = false;
             }
-            replayed.push(outcome);
         }
-        let run = ShardRun {
-            program: spec.program.clone(),
-            module_fp: spec.module_fp,
-            total: spec.units.len(),
-            outcomes: replayed,
+        let mut outcomes = Vec::new();
+        let mut missing = Vec::new();
+        let mut errors = segment.errors;
+        for unit in &spec.units {
+            match replay_unit(&segment.lines, unit, current) {
+                Ok(Some(outcome)) => outcomes.push(outcome),
+                Ok(None) => missing.push(unit.index),
+                Err(e) => {
+                    errors.push(e);
+                    missing.push(unit.index);
+                }
+            }
+        }
+        missing.sort_unstable();
+        let (anchor_replayed, anchor_missed) = if current {
+            (0, 0)
+        } else {
+            (outcomes.len(), missing.len())
         };
-        service::merge(&[run]).ok().map(|merged| merged.encode())
+        // A full replay of the spec's own intact segment: every outcome
+        // a save would write is already on disk, verbatim, and that
+        // segment's own save already pruned its stale siblings. Any
+        // miss, anchor fallback or store error still saves, which is
+        // how repair happens.
+        let unchanged = current && segment.header_valid && missing.is_empty() && errors.is_empty();
+        Replay {
+            run: ShardRun {
+                program: spec.program.clone(),
+                module_fp: spec.module_fp,
+                total: spec.units.len(),
+                outcomes,
+            },
+            missing,
+            anchor_replayed,
+            anchor_missed,
+            errors,
+            unchanged,
+        }
     }
+}
+
+/// The one rule for whether a stored line stands in for `unit`.
+/// `lines` come from the spec's own segment (`current`) or from the
+/// program's previous segment (the anchor fallback). A line of the own
+/// segment replays verbatim. A fallback line replays re-indexed to the
+/// unit's place in the new plan, through the canonical encoder: only
+/// the enumeration index is version-bound, and an untouched function's
+/// outcome is unchanged by construction. `Ok(None)` is a plain miss; a
+/// line that does not decode, or decodes to another unit, is an error,
+/// and the unit re-executes.
+fn replay_unit(
+    lines: &HashMap<u64, String>,
+    unit: &WorkUnit,
+    current: bool,
+) -> Result<Option<ShardOutcome>, String> {
+    let Some(line) = lines.get(&unit.store_key()) else {
+        return Ok(None);
+    };
+    let outcome = ShardOutcome::decode(line)
+        .map_err(|e| format!("unit {}: {e}; re-executing", unit.index))?;
+    // Index (own segment only), operator and class are cheap to
+    // cross-check, so a garbled-but-decodable payload degrades to
+    // re-execution instead of silently changing a result.
+    if (current && outcome.index != unit.index)
+        || outcome.operator != unit.operator
+        || outcome.class != unit.class.key()
+    {
+        return Err(format!(
+            "stored outcome for unit {} describes ({}, {}, {}), expected ({}, {}, {}); \
+             re-executing",
+            unit.index,
+            outcome.index,
+            outcome.operator,
+            outcome.class,
+            unit.index,
+            unit.operator,
+            unit.class.key(),
+        ));
+    }
+    Ok(Some(if current {
+        outcome
+    } else {
+        outcome.reindexed(unit.index)
+    }))
+}
+
+/// What the store covers of one spec ([`Orchestrator::replay`]).
+#[derive(Debug)]
+pub struct Replay {
+    /// The replayed outcomes, as a run of the full spec: it merges
+    /// with the runs of [`Self::missing`].
+    pub run: ShardRun,
+    /// Sorted global indices of the units the store did not cover.
+    pub missing: Vec<usize>,
+    /// Of the replayed units, how many came through the anchor
+    /// fallback (all of them, when it was consulted).
+    pub anchor_replayed: usize,
+    /// Units the anchor fallback was consulted for but could not
+    /// cover; zero when no fallback segment was consulted.
+    pub anchor_missed: usize,
+    /// Store corruption reports (each unit they touch is missing).
+    pub errors: Vec<String>,
+    /// Whether the spec's own segment already holds exactly this
+    /// replay, so a run that executes nothing need not save.
+    unchanged: bool,
 }
 
 #[cfg(test)]
@@ -1238,6 +1206,38 @@ def test_add():
         // The migrated save is format 2 and warm again.
         let third = orch.run_program("demo", &edited).unwrap();
         assert_eq!(third.executed, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_segment_of_another_format_replays_nothing_and_lists_as_an_orphan() {
+        let dir = state_dir("format");
+        let orch = Orchestrator::new(&dir).unwrap();
+        let cold = orch.run_program("demo", SOURCE).unwrap();
+        let path = orch
+            .store
+            .segment_path("demo", cold.run.module_fp, orch.machine.fingerprint());
+        let original = std::fs::read_to_string(&path).unwrap();
+        for header in ["", "\"format\":1,", "\"format\":3,"] {
+            std::fs::write(&path, original.replace("\"format\":2,", header)).unwrap();
+            let listed = orch.store.segments();
+            assert!(
+                listed.len() == 1 && listed[0].program.is_none(),
+                "{header}: gc sees an orphan: {listed:?}"
+            );
+            let rerun = orch.run_program("demo", SOURCE).unwrap();
+            assert_eq!(rerun.executed, rerun.units, "{header}: nothing replays");
+            assert!(
+                rerun
+                    .store_errors
+                    .iter()
+                    .any(|e| e.contains("not format 2")),
+                "{header}: {:?}",
+                rerun.store_errors
+            );
+            assert_eq!(rerun.run.encode(), cold.run.encode());
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), original);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1640,28 +1640,34 @@ def test_add():
     }
 
     #[test]
-    fn replay_full_rebuilds_the_exact_document_and_refuses_partial_segments() {
-        let dir = state_dir("replayfull");
+    fn replay_rebuilds_the_exact_document_and_reports_what_a_partial_segment_lacks() {
+        let dir = state_dir("replay");
         let orch = Orchestrator::new(&dir).unwrap();
         let spec = service::plan_campaign("demo", SOURCE, orch.seed).unwrap();
+        let empty = orch.replay(&spec, false);
         assert!(
-            orch.replay_full(&spec).is_none(),
+            empty.run.outcomes.is_empty() && empty.missing.len() == spec.units.len(),
             "an empty store cannot replay"
         );
         let cold = orch.run_spec(&spec).unwrap();
+        let full = orch.replay(&spec, false);
+        assert!(full.missing.is_empty() && full.errors.is_empty());
         assert_eq!(
-            orch.replay_full(&spec).as_deref(),
-            Some(cold.run.encode().as_str()),
+            service::merge(&[full.run]).unwrap().encode(),
+            cold.run.encode(),
             "full replay must be byte-identical to the run that saved it"
         );
-        // Drop one stored line: replay_full refuses rather than serving
-        // a shorter document.
+        // Drop one stored line: the replay covers every other unit and
+        // names the lost one, rather than serving a shorter document.
         let machine_fp = orch.machine.fingerprint();
         let path = orch.store.segment_path("demo", spec.module_fp, machine_fp);
         let text = std::fs::read_to_string(&path).unwrap();
         let truncated: Vec<&str> = text.lines().take(text.lines().count() - 1).collect();
         std::fs::write(&path, truncated.join("\n")).unwrap();
-        assert!(orch.replay_full(&spec).is_none());
+        let partial = orch.replay(&spec, false);
+        let last = spec.units.iter().map(|u| u.index).max().unwrap();
+        assert_eq!(partial.missing, vec![last]);
+        assert_eq!(partial.run.outcomes.len(), spec.units.len() - 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,9 +1,10 @@
 //! Experiment memoization: content-addressed caching of differential
 //! experiment runs.
 //!
-//! [`run_experiment`] is deterministic — the machine's scheduler, race
-//! detector, and virtual clock are all seed-driven — so its result is a
-//! pure function of (pristine module, faulty module, machine config).
+//! [`run_experiment`](crate::experiment::run_experiment) is
+//! deterministic — the machine's scheduler, race detector, and virtual
+//! clock are all seed-driven — so its result is a pure function of
+//! (pristine module, faulty module, machine config).
 //! Repeated drivers (schedule exploration sweeps, E-driver reruns, the
 //! sequential-then-parallel benchmark pairs) therefore keep re-running
 //! byte-identical experiments. This module memoizes them behind a

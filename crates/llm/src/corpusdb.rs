@@ -87,11 +87,6 @@ impl CorpusDb {
             .collect()
     }
 
-    /// Distribution of fault classes in the corpus.
-    pub fn class_distribution(&self) -> &BTreeMap<FaultClass, usize> {
-        &self.class_counts
-    }
-
     /// Fraction of the corpus in a given class (0 when empty).
     pub fn class_fraction(&self, class: FaultClass) -> f32 {
         if self.records.is_empty() {

@@ -345,19 +345,6 @@ impl NgramLm {
         grads
     }
 
-    /// Applies summed gradients: `θ -= lr · g`.
-    pub fn apply_gradients(&mut self, grads: &LmGradients, lr: f32) {
-        self.embed.add_scaled(-lr, &grads.embed);
-        self.w1.add_scaled(-lr, &grads.w1);
-        self.w2.add_scaled(-lr, &grads.w2);
-        for (b, g) in self.b1.iter_mut().zip(grads.b1.iter()) {
-            *b -= lr * g;
-        }
-        for (b, g) in self.b2.iter_mut().zip(grads.b2.iter()) {
-            *b -= lr * g;
-        }
-    }
-
     /// One epoch of per-example SGD over all positions of all sequences;
     /// returns the average negative log-likelihood (natural log). The
     /// original reference path: one weight update per position.

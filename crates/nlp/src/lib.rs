@@ -162,7 +162,7 @@ pub fn stem(word: &str) -> String {
 /// [`analyze`] rebuilds the module's symbol index on every call; when a
 /// whole batch of descriptions targets the same code — the E7 pipeline,
 /// dataset generation, campaign scenario suites — that work is pure
-/// overhead. An `Analyzer` hoists it: the [`entity::SymbolTable`] is
+/// overhead. An `Analyzer` hoists it: the `entity::SymbolTable` is
 /// built once at construction, and each [`Analyzer::analyze`] call only
 /// does the per-description work (tokenize, stem, classify, match).
 ///

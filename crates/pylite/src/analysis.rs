@@ -360,44 +360,6 @@ pub fn rewrite_blocks(module: &mut Module, f: &mut dyn FnMut(&mut Vec<Stmt>)) {
     rec(&mut module.body, f);
 }
 
-/// The name of the function whose body (transitively) contains the
-/// statement with the given id, or `None` for module-level statements.
-pub fn enclosing_function(module: &Module, id: NodeId) -> Option<String> {
-    fn contains(body: &[Stmt], id: NodeId) -> bool {
-        let mut found = false;
-        for s in body {
-            walk(s, id, &mut found);
-        }
-        found
-    }
-    fn walk(stmt: &Stmt, id: NodeId, found: &mut bool) {
-        if stmt.id == id {
-            *found = true;
-            return;
-        }
-        for block in stmt_blocks(stmt) {
-            for s in block {
-                walk(s, id, found);
-                if *found {
-                    return;
-                }
-            }
-        }
-    }
-    let mut result = None;
-    module.walk_stmts(&mut |s| {
-        if result.is_some() {
-            return;
-        }
-        if let StmtKind::Def { name, body, .. } = &s.kind {
-            if contains(body, id) {
-                result = Some(name.clone());
-            }
-        }
-    });
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -366,7 +366,8 @@ pub struct Machine {
     table: Rc<GlobalTable>,
     /// Slot-indexed global values (parallel to `table.names`).
     slots: Vec<Option<Value>>,
-    /// Host-set globals whose names the installed table does not know.
+    /// Globals whose names the installed table does not know, carried
+    /// over a module switch until a table that names them is installed.
     extra_globals: HashMap<String, Value>,
     tasks: Vec<Task>,
     /// Locks held per task (indexed by `TaskId`; lives outside `Task`
@@ -516,19 +517,6 @@ impl Machine {
         match self.table.slot(name) {
             Some(slot) => self.slots.get(slot as usize).and_then(|v| v.as_ref()),
             None => self.extra_globals.get(name),
-        }
-    }
-
-    /// Sets a global variable (used by harnesses to parameterize runs).
-    ///
-    /// Names the installed global table does not know are kept aside and
-    /// migrated into slots when a module that references them runs.
-    pub fn set_global(&mut self, name: &str, value: Value) {
-        match self.table.slot(name) {
-            Some(slot) => self.slots[slot as usize] = Some(value),
-            None => {
-                self.extra_globals.insert(name.to_string(), value);
-            }
         }
     }
 

@@ -1071,7 +1071,7 @@ fn encode(m: &Machine, e: &mut Encoder) -> Option<()> {
 /// the outcome it would have returned there and runs on to its true
 /// end, so a test can check every prediction against the run it
 /// predicted. The mode is per thread and is not a configuration: it
-/// changes no outcome, only what [`record`] returns.
+/// changes no outcome, only what [`record`](shadow::record) returns.
 pub mod shadow {
     use super::super::{RunOutcome, RunStatus};
     use std::cell::{Cell, RefCell};

@@ -94,11 +94,6 @@ impl RlhfTrainer {
         }
     }
 
-    /// The trained reward model.
-    pub fn reward_model(&self) -> &RewardModel {
-        &self.reward
-    }
-
     /// Runs the loop over scenarios, mutating the model's policy.
     /// Returns per-iteration alignment statistics.
     pub fn run(

@@ -66,7 +66,7 @@ use nfi_telemetry::{log::log, trace, Level, SpanRecord, Trace};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// How long an idle poll waits for work before answering
 /// `{"assignment":null}`.
@@ -233,6 +233,16 @@ pub struct Fleet {
     /// Woken when a poll can (new or requeued assignments, stop).
     work: Condvar,
     stopped: AtomicBool,
+    /// Every id this fleet mints lies above this per-daemon base: the
+    /// fleet's start time in microseconds since the epoch. A daemon
+    /// started earlier on the host would have had to mint one id per
+    /// microsecond since its own start to reach it, so an id handed
+    /// out before a restart never names a worker of the restarted
+    /// daemon (unless the wall clock was set back between the two
+    /// starts). The base stays below 2^53, so JSON clients read every
+    /// id exactly.
+    worker_base: u64,
+    /// The last id minted (`worker_base` until the first registration).
     next_worker: AtomicU64,
     next_assignment: AtomicU64,
 }
@@ -249,6 +259,9 @@ impl Fleet {
         max_requeues: u32,
         lease_timeout: Option<Duration>,
     ) -> Fleet {
+        let worker_base = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map_or(0, |d| d.as_micros() as u64);
         Fleet {
             expected_fp,
             heartbeat_timeout,
@@ -260,7 +273,8 @@ impl Fleet {
             changed: Condvar::new(),
             work: Condvar::new(),
             stopped: AtomicBool::new(false),
-            next_worker: AtomicU64::new(0),
+            worker_base,
+            next_worker: AtomicU64::new(worker_base),
             next_assignment: AtomicU64::new(0),
         }
     }
@@ -525,7 +539,7 @@ impl Fleet {
     /// The misses are hash-sharded into one chunk per live worker, each
     /// encoded once as a self-contained subset spec
     /// ([`CampaignSpec::subset`]) and queued for pulling. The lane then
-    /// waits, rescanning every [`LEASE_SCAN`]: done assignments are
+    /// waits, rescanning every `LEASE_SCAN`: done assignments are
     /// harvested (their worker spans re-anchored into the job trace),
     /// lost and timed-out leases requeue, and a chunk past its requeue
     /// cap splits into single-unit assignments. A unit past its own cap
@@ -739,11 +753,12 @@ impl Fleet {
     }
 
     /// The refusal for an id the registry does not hold. Ids are minted
-    /// in order, so one at or below the last minted was retired by a
-    /// later registration of its name ([`FleetError::Stale`], counted);
-    /// any other is [`FleetError::Unknown`].
+    /// in order above the fleet's base, so one in (base, last minted]
+    /// was retired by a later registration of its name
+    /// ([`FleetError::Stale`], counted); any other — an earlier daemon's
+    /// id included — is [`FleetError::Unknown`].
     fn absent(&self, worker: u64) -> FleetError {
-        if worker <= self.next_worker.load(Ordering::Relaxed) {
+        if worker > self.worker_base && worker <= self.next_worker.load(Ordering::Relaxed) {
             self.events.stale_rejections.fetch_add(1, Ordering::Relaxed);
             FleetError::Stale
         } else {
@@ -1184,6 +1199,21 @@ def test_scale():
         assert_eq!(fleet.events.failed_units.load(Ordering::Relaxed), 0);
         let merged = nfi_core::merge(&runs).unwrap();
         assert_eq!(merged.encode(), direct(&spec).encode());
+    }
+
+    #[test]
+    fn a_restarted_fleet_mints_fresh_ids_and_answers_old_ones_unknown() {
+        // Two fleets stand for one daemon before and after a restart.
+        let before = fleet(Duration::from_secs(5), 2);
+        let remote = before.register("remote", fingerprint()).unwrap();
+        std::thread::sleep(Duration::from_millis(2));
+        let after = fleet(Duration::from_secs(5), 2);
+        let local = after.register("local-0", fingerprint()).unwrap();
+        assert_ne!(local.worker, remote.worker, "ids alias across the restart");
+        // The old worker's heartbeat must make it re-register (404),
+        // not pass as the new daemon's local child.
+        assert_eq!(after.heartbeat(remote.worker), Err(FleetError::Unknown));
+        assert_eq!(after.events.stale_rejections.load(Ordering::Relaxed), 0);
     }
 
     #[test]

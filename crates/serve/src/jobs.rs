@@ -514,9 +514,9 @@ impl JobTable {
             .count()
     }
 
-    /// Distinct program names a tenant has submitted jobs for
-    /// (segment-quota accounting; the store is the durable source, the
-    /// table covers jobs whose segments are not saved yet).
+    /// Distinct program names among a tenant's retained jobs — queued,
+    /// running, and finished ones not yet evicted (the
+    /// `--tenant-max-programs` quota; the store is not read).
     pub fn programs_for_tenant(&self, tenant: &str) -> Vec<String> {
         let table = self.lock();
         let mut programs: Vec<String> = table

@@ -131,8 +131,11 @@ pub struct ServeConfig {
     pub max_queue: usize,
     /// Most queued+running jobs one tenant may hold (0 = unlimited).
     pub tenant_max_queued: usize,
-    /// Most distinct programs one tenant may occupy store segments for
-    /// (0 = unlimited).
+    /// Most distinct program names one tenant may have among the jobs
+    /// the daemon retains — queued, running, and the last
+    /// [`jobs::RETAINED_FINISHED_JOBS`] finished (0 = unlimited). The
+    /// check reads no disk, so a program stops counting once its jobs
+    /// are evicted.
     pub tenant_max_programs: usize,
     /// Default queue-deadline budget for submissions that don't name
     /// one (`None` = no deadline).
@@ -304,7 +307,7 @@ impl ServerState {
                 return Err(http::Response::shed(
                     429,
                     &format!(
-                        "tenant quota: {} distinct programs already stored (limit {}); \
+                        "tenant quota: {} distinct programs among its retained jobs (limit {}); \
                          submit under an existing program name",
                         programs.len(),
                         cfg.tenant_max_programs
@@ -425,20 +428,6 @@ impl ServerState {
     /// plus the latency histograms with full bucket series.
     pub fn metrics_prometheus(&self) -> String {
         metrics::render_prometheus(self, &nfi_telemetry::registry().snapshot())
-    }
-
-    /// Re-executes a finished job whose segment no longer replays in
-    /// full, **read-only**: every unit goes to the fleet and the runs
-    /// merge, but nothing is saved — a read endpoint must not prune
-    /// segments, or two finished jobs planned from different sources of
-    /// one program would evict each other's on alternating fetches.
-    ///
-    /// # Errors
-    ///
-    /// Reports a merge failure (no unit came back).
-    pub fn rebuild_document(&self, job: u64, spec: &CampaignSpec) -> Result<String, String> {
-        let all: Vec<usize> = spec.units.iter().map(|u| u.index).collect();
-        Ok(nfi_core::merge(&self.fleet.dispatch(job, spec, &all))?.encode())
     }
 }
 

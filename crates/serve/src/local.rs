@@ -5,11 +5,11 @@
 //!   exits when its stdin is a pipe that closes, so no child outlives
 //!   the daemon, however the daemon dies.
 //! * A child authenticates with a per-daemon secret it reads from
-//!   `--token-file` ([`write_token`]), never from argv, so local
+//!   `--token-file` (`write_token`), never from argv, so local
 //!   workers need no operator-provisioned `worker:` token. The edge
 //!   also exempts the secret from the per-client rate limit, since the
 //!   children share the loopback address with local clients.
-//! * [`LocalWorkers::check`] marks an exited child lost in the fleet at
+//! * `LocalWorkers::check` marks an exited child lost in the fleet at
 //!   once, so its lease requeues without waiting out the heartbeat
 //!   timeout. It kills a child the fleet marked lost: silent past the
 //!   heartbeat timeout, or holding a lease past the assignment timeout.

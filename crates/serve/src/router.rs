@@ -226,16 +226,18 @@ fn status(state: &ServerState, id: u64, tenant: &str) -> Response {
 
 /// `GET /v1/campaigns/:id/document`: the job table buffers no
 /// documents — a finished job's bytes rebuild from the on-disk store
-/// segment on every fetch. The fast path is a pure replay (read the
-/// segment, re-emit the stored lines verbatim, merge); a segment that
-/// can no longer replay fully — pruned by a later run of the same
-/// program, left partial by `failed_units`, corrupted on disk —
-/// degrades to a **read-only** re-execution on the workers
-/// ([`crate::ServerState::rebuild_document`]), never on this
-/// connection thread. Either way the response is byte-identical to the
-/// document the original run produced, which is also what makes
-/// finished jobs restored from the journal indistinguishable from jobs
-/// finished in this process.
+/// segment on every fetch, through the orchestrator's read-only
+/// [`replay`](nfi_core::Orchestrator::replay) with the anchor fallback
+/// off. The stored lines are re-emitted verbatim; units the segment no
+/// longer covers — pruned by a later run of the same program, left
+/// uncovered by `failed_units`, corrupted on disk — are dispatched to
+/// the workers (never run on this connection thread), and the runs
+/// merge. Nothing is saved: a read endpoint must not prune segments, or
+/// two finished jobs planned from different sources of one program
+/// would evict each other's on alternating fetches. Either way the
+/// response is byte-identical to the document the original run
+/// produced, which is also what makes finished jobs restored from the
+/// journal indistinguishable from jobs finished in this process.
 fn document(state: &ServerState, id: u64, tenant: &str) -> Response {
     let Some(job) = state.jobs.get(id) else {
         return Response::error(404, &format!("no campaign job {id}"));
@@ -244,16 +246,18 @@ fn document(state: &ServerState, id: u64, tenant: &str) -> Response {
         return Response::error(404, &format!("no campaign job {id}"));
     }
     match &job.status {
-        JobStatus::Done => match state.orch.replay_full(&job.spec) {
-            Some(doc) => Response::jsonl(200, doc),
-            None => match state.rebuild_document(id, &job.spec) {
-                Ok(doc) => Response::jsonl(200, doc),
+        JobStatus::Done => {
+            let replay = state.orch.replay(&job.spec, false);
+            let mut runs = vec![replay.run];
+            runs.extend(state.fleet.dispatch(id, &job.spec, &replay.missing));
+            match nfi_core::merge(&runs) {
+                Ok(run) => Response::jsonl(200, run.encode()),
                 Err(e) => Response::error(
                     500,
                     &format!("cannot rebuild the document of job {id}: {e}"),
                 ),
-            },
-        },
+            }
+        }
         JobStatus::Failed(msg) => Response::error(409, &format!("job {id} failed: {msg}")),
         other => Response::error(
             409,

@@ -254,7 +254,7 @@ pub struct CampaignSpec {
     pub program: String,
     /// The program source the campaign was enumerated against.
     pub source: String,
-    /// Fingerprint of the parsed module ([`nfi_pylite::fingerprint`]),
+    /// Fingerprint of the parsed module ([`nfi_pylite::fingerprint()`]),
     /// validated at execution time against the re-parsed source.
     pub module_fp: u64,
     /// The enumerated units, in stable index order.

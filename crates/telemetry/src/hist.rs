@@ -106,15 +106,6 @@ impl Histogram {
     pub fn p99_micros(&self) -> u64 {
         self.percentile_micros(0.99)
     }
-
-    /// Mean in microseconds (0 when empty).
-    pub fn mean_micros(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_micros as f64 / self.count as f64
-        }
-    }
 }
 
 /// A histogram recorded with relaxed atomics — one shared instance per

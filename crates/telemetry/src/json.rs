@@ -108,14 +108,6 @@ impl JsonBuf {
         self
     }
 
-    /// Emits a float value with three decimals (the workspace's stable
-    /// rate format).
-    pub fn f64_val(&mut self, v: f64) -> &mut Self {
-        self.pre_value();
-        self.buf.push_str(&format!("{v:.3}"));
-        self
-    }
-
     /// Emits a boolean value.
     pub fn bool_val(&mut self, v: bool) -> &mut Self {
         self.pre_value();

@@ -12,8 +12,11 @@
 #      exercise the tenant:token form) and wait until the fleet reports
 #      the local workers plus all three;
 #   3. submit every corpus program as tenant `ci`;
-#   4. SIGKILL one worker mid-run — requeue + the surviving workers
-#      must make the loss invisible;
+#   4. SIGKILL one remote worker mid-run; the fleet must count it lost
+#      (`workers_lost`) and the documents must not change. The worker
+#      may or may not hold a lease when it dies, so this does not prove
+#      a requeue; `tests/daemon.rs` covers a remote worker that dies
+#      holding one;
 #   5. await every job, fetch every document, and byte-diff each
 #      against an offline `nfi campaign run --as ci:<program>`;
 #   6. assert the fleet counters on /v1/metrics (registrations,

@@ -1181,7 +1181,7 @@ fn cmd_worker(flags: &HashMap<&str, &str>) -> Result<(), String> {
 /// `campaign run`: positional files, `--program`/`--file`, or the
 /// whole corpus) plus orphaned files; `--dry-run` only lists.
 fn cmd_store(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), String> {
-    use neural_fault_injection::core::CampaignStore;
+    use neural_fault_injection::core::{store::SEGMENT_FORMAT, CampaignStore};
     match positional.first().copied() {
         Some("gc") => {
             let state_dir = flags.get("state-dir").ok_or("need --state-dir <dir>")?;
@@ -1274,7 +1274,7 @@ fn cmd_store(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), Str
                             j.field_str("program", program)
                                 .field_str("module_fp", &format!("{module_fp:016x}"))
                                 .field_str("machine_fp", &format!("{machine_fp:016x}"))
-                                .field_str("format", &seg.format.to_string())
+                                .field_str("format", &SEGMENT_FORMAT.to_string())
                                 .field_u64("lines", seg.lines as u64);
                             j.key("anchors").begin_arr();
                             for (anchor, count) in &seg.anchors {
@@ -1319,7 +1319,7 @@ fn cmd_store(positional: &[&str], flags: &HashMap<&str, &str>) -> Result<(), Str
                              machine_fp={machine_fp:016x} format={} lines={} anchors={}",
                             seg.info.path.display(),
                             seg.info.bytes,
-                            seg.format,
+                            SEGMENT_FORMAT,
                             seg.lines,
                             seg.anchors.len(),
                         );

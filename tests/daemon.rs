@@ -351,6 +351,121 @@ fn codec_violations_get_protocol_error_statuses_over_the_wire() {
 }
 
 #[test]
+fn a_document_fetch_dispatches_only_the_units_its_segment_lost() {
+    let (handle, dir) = start("doc-miss");
+    let addr = handle.addr;
+    let id = submit(addr, "{\"program\":\"banking\"}");
+    let status = await_job(addr, id);
+    assert!(status.contains("\"status\":\"done\""), "{status}");
+    let path = format!("/v1/campaigns/{id}/document");
+    let first = request_once(addr, "GET", &path, None).unwrap();
+    assert_eq!(first.status, 200, "{}", first.text());
+
+    // Lose the segment's last stored line.
+    let segment = std::fs::read_dir(dir.join("store"))
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .find(|p| p.extension().is_some_and(|e| e == "jsonl"))
+        .expect("the job's segment");
+    let text = std::fs::read_to_string(&segment).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert!(lines.len() > 3, "a multi-unit segment");
+    std::fs::write(
+        &segment,
+        format!("{}\n", lines[..lines.len() - 1].join("\n")),
+    )
+    .unwrap();
+
+    let dispatched = || {
+        let metrics = request_once(addr, "GET", "/v1/metrics", None).unwrap();
+        metric(&metrics.text(), "assignments_dispatched")
+    };
+    let before = dispatched();
+    let again = request_once(addr, "GET", &path, None).unwrap();
+    assert_eq!(again.status, 200, "{}", again.text());
+    assert_eq!(dispatched() - before, 1, "only the lost unit is dispatched");
+    assert_eq!(
+        again.body, first.body,
+        "the rebuilt document is byte-identical"
+    );
+    // The fetch is read-only: the damaged segment is not rewritten.
+    assert_eq!(
+        std::fs::read_to_string(&segment).unwrap().lines().count(),
+        lines.len() - 1
+    );
+
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_remote_worker_that_dies_holding_a_lease_has_it_requeued() {
+    let dir = state_dir("remote-lease");
+    let config = ServeConfig {
+        workers: 1,
+        lanes: 1,
+        heartbeat_timeout: Duration::from_millis(400),
+        ..ServeConfig::new(&dir, NFI)
+    };
+    let handle = Server::bind("127.0.0.1:0", config)
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let addr = handle.addr;
+    let fingerprint = nfi_pylite::MachineConfig::default().fingerprint();
+    let register = format!(
+        "{{\"kind\":\"worker_register\",\"name\":\"scripted\",\"fingerprint\":\"{fingerprint:016x}\"}}"
+    );
+    let reply = request_once(addr, "POST", "/v1/workers", Some(register.as_bytes())).unwrap();
+    assert_eq!(reply.status, 200, "{}", reply.text());
+    let worker = metric(&reply.text(), "worker");
+
+    // The scripted worker long-polls until it holds a lease, then goes
+    // silent: no heartbeat, no result, no further poll.
+    let leased = std::thread::spawn(move || {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while Instant::now() < deadline {
+            let poll = format!("/v1/workers/{worker}/poll");
+            let reply = request_once(addr, "POST", &poll, None).unwrap();
+            assert_eq!(reply.status, 200, "{}", reply.text());
+            if !reply.text().contains("\"assignment\":null") {
+                return true;
+            }
+        }
+        false
+    });
+    // Submit while that poll waits in the daemon, so the job's chunks
+    // go to both workers.
+    std::thread::sleep(Duration::from_millis(200));
+    let id = submit(addr, "{\"program\":\"banking\"}");
+    assert!(
+        leased.join().unwrap(),
+        "the scripted worker never got a lease"
+    );
+    let status = await_job(addr, id);
+    assert!(status.contains("\"status\":\"done\""), "{status}");
+    let metrics = request_once(addr, "GET", "/v1/metrics", None)
+        .unwrap()
+        .text();
+    assert!(metric(&metrics, "assignments_requeued") >= 1, "{metrics}");
+    assert!(metric(&metrics, "workers_lost") >= 1, "{metrics}");
+
+    let doc = request_once(addr, "GET", &format!("/v1/campaigns/{id}/document"), None).unwrap();
+    let offline_dir = state_dir("remote-lease-offline");
+    let source = nfi_corpus::by_name("banking").unwrap().source;
+    let offline = nfi_core::Orchestrator::new(&offline_dir)
+        .unwrap()
+        .run_program("banking", source)
+        .unwrap();
+    assert_eq!(doc.text(), offline.run.encode());
+
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&offline_dir);
+}
+
+#[test]
 fn metrics_track_queue_and_store_counters() {
     let (handle, dir) = start("metrics");
     let addr = handle.addr;
